@@ -22,7 +22,7 @@ from itertools import islice
 import numpy as np
 
 from .encoder import MultiScaleEncoder, task_representation, uniform_init
-from .errors import ContractError, DimensionError, InvalidParameterError
+from .errors import ContractError, InvalidParameterError
 from .graphdata import Batch, DomainDataset, GraphInstance, iterate_epochs
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
 from .persist import Checkpoint
@@ -69,17 +69,6 @@ class Projector:
             num_tokens=self.num_tokens,
             token_dim=self.token_dim,
         )
-
-
-def project(x: np.ndarray, proj: Projector) -> np.ndarray:
-    """Tokens as a (num_tokens, token_dim) matrix, row-major from the map."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (proj.weight.shape[0],):
-        raise DimensionError(
-            f"projector expects input of shape ({proj.weight.shape[0]},), got {x.shape}"
-        )
-    flat = x @ proj.weight + proj.bias
-    return flat.reshape(proj.num_tokens, proj.token_dim)
 
 
 # --------------------------------------------------------------- frozen head
@@ -200,12 +189,14 @@ def projector_grad(cache: LossCache, proj: Projector, head: FrozenHead) -> Param
 # ------------------------------------------------------- per-domain losses
 
 
-def _domain_losses_with_caches(
+def domain_losses(
     batch: Batch,
     encoder: MultiScaleEncoder,
     proj: Projector,
     head: FrozenHead,
 ) -> tuple[dict[str, float], dict[str, list[LossCache]]]:
+    """Mean instance loss per domain present in the batch, and the caches
+    of each domain's instances in batch order."""
     pairs = batch.instances()
     caches = ordered_map(
         lambda pair: instance_loss(pair[1], encoder, proj, head, pair[0].task)[1], pairs
@@ -220,14 +211,6 @@ def _domain_losses_with_caches(
     return losses, by_domain
 
 
-def domain_batch_losses(
-    batch: Batch, encoder: MultiScaleEncoder, proj: Projector, head: FrozenHead
-) -> dict[str, float]:
-    """Mean instance loss per domain present in the batch."""
-    losses, _ = _domain_losses_with_caches(batch, encoder, proj, head)
-    return losses
-
-
 def domain_mean_gradient(
     caches: list[LossCache], proj: Projector, head: FrozenHead
 ) -> ParamSet:
@@ -238,13 +221,6 @@ def domain_mean_gradient(
     for cache in caches:  # fixed order: deterministic reduction
         total = total + projector_grad(cache, proj, head)
     return total * (1.0 / len(caches))
-
-
-def projector_gradient_norm(
-    caches: list[LossCache], proj: Projector, head: FrozenHead
-) -> float:
-    """L2 norm over all projector parameters of the domain-mean gradient."""
-    return domain_mean_gradient(caches, proj, head).norm()
 
 
 # ---------------------------------------------------------- difficulty/EMA
@@ -334,8 +310,8 @@ def curriculum_weights(
 
 @dataclass
 class AlignConfig:
-    total_steps: int
-    batch_size: int
+    total_steps: int = 1000
+    batch_size: int = 3
     learning_rate: float = 0.004
     warmup_ratio: float = 0.01
     momentum: float = 0.7
@@ -394,7 +370,7 @@ def align_step(
     head: FrozenHead,
 ) -> AlignState:
     """One curriculum step: losses, difficulties, weights, update on theta."""
-    losses, caches = _domain_losses_with_caches(batch, encoder, state.projector, head)
+    losses, caches = domain_losses(batch, encoder, state.projector, head)
     grad_vectors = {
         domain: domain_mean_gradient(group, state.projector, head)
         for domain, group in sorted(caches.items())
@@ -454,7 +430,7 @@ def align_loop(
     )
     state = AlignState(
         projector=projector,
-        optimizer=OptimizerState.adam(config.learning_rate),
+        optimizer=OptimizerState(config.learning_rate),
         tracker=DifficultyTracker.create(config.total_steps, config.warmup_ratio, config.momentum),
     )
     if config.total_steps == 0:
@@ -475,7 +451,7 @@ def align_loop(
 
 
 def projector_to_checkpoint(
-    projector: Projector, head: FrozenHead, metadata: dict | None = None
+    projector: Projector, head: FrozenHead, metadata: dict
 ) -> Checkpoint:
     meta = {
         "stage": "align",
@@ -483,9 +459,8 @@ def projector_to_checkpoint(
         "token_dim": projector.token_dim,
         "input_dim": int(projector.weight.shape[0]),
         "head_domains": sorted(head.instructions),
+        **metadata,
     }
-    if metadata:
-        meta.update(metadata)
     tensors = dict(projector.params().items())
     tensors.update(dict(head.params().items()))
     return Checkpoint(metadata=meta, tensors=tensors)
@@ -496,21 +471,29 @@ def projector_from_checkpoint(ckpt: Checkpoint) -> tuple[Projector, FrozenHead]:
     try:
         num_tokens = int(meta["num_tokens"])
         token_dim = int(meta["token_dim"])
-        domains = list(meta["head_domains"])
+        input_dim = int(meta["input_dim"])
+        domains = [str(d) for d in meta["head_domains"]]
     except KeyError as exc:
         raise ContractError(f"checkpoint metadata missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"checkpoint metadata is malformed: {exc}") from exc
+    width = num_tokens * token_dim
     projector = Projector(
-        weight=ckpt.tensors["projector.weight"],
-        bias=ckpt.tensors["projector.bias"],
+        weight=ckpt.tensor("projector.weight", (input_dim, width)),
+        bias=ckpt.tensor("projector.bias", (width,)),
         num_tokens=num_tokens,
         token_dim=token_dim,
     )
     head = FrozenHead(
         num_tokens=num_tokens,
         token_dim=token_dim,
-        mixing=ckpt.tensors["frozen_head.mixing"],
-        instructions={d: ckpt.tensors[f"frozen_head.{d}.instruction"] for d in domains},
-        label_embeddings={d: ckpt.tensors[f"frozen_head.{d}.labels"] for d in domains},
+        mixing=ckpt.tensor("frozen_head.mixing", (width + token_dim, token_dim)),
+        instructions={
+            d: ckpt.tensor(f"frozen_head.{d}.instruction", (token_dim,)) for d in domains
+        },
+        label_embeddings={
+            d: ckpt.tensor(f"frozen_head.{d}.labels", (None, token_dim)) for d in domains
+        },
     )
     return projector, head
 
@@ -553,6 +536,11 @@ def evaluate_classification(
     """Accuracy and macro-F1 of argmax predictions over a labeled split."""
     indices = _split_indices(dataset, split)
     k = head.label_embeddings[dataset.domain].shape[0]
+    if k != dataset.num_classes:
+        raise ContractError(
+            f"frozen head has {k} labels for domain {dataset.domain!r}, "
+            f"but the dataset has {dataset.num_classes} classes"
+        )
 
     def predict(i: int) -> tuple[int, int]:
         inst = dataset.instances[i]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .align import align_loop, evaluate_classification, projector_from_checkpoint, projector_to_checkpoint
 from .config import load_run_config
-from .errors import EmptyDataError, UglmError
+from .errors import ContractError, EmptyDataError, UglmError
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .graphdata import DomainDataset, load_dataset
 from .persist import (
@@ -106,6 +106,14 @@ def _discover_datasets(data_dir: str) -> list[DomainDataset]:
     return datasets
 
 
+def _from_checkpoint(convert, path):
+    """Load a checkpoint and convert it; contract errors name the file."""
+    try:
+        return convert(load_checkpoint(path))
+    except ContractError as exc:
+        raise ContractError(f"{path}: {exc}") from exc
+
+
 def _cmd_synth(args) -> int:
     _echo({"command": "synth", "out": args.out, "seed": args.seed})
     written = generate_benchmark_suite(args.out, args.seed)
@@ -166,7 +174,7 @@ def _cmd_align(args) -> int:
         }
     )
     datasets = _discover_datasets(args.data)
-    encoder, _ = encoder_from_checkpoint(load_checkpoint(args.encoder))
+    encoder, _ = _from_checkpoint(encoder_from_checkpoint, args.encoder)
     state, head = align_loop(run_config.align, datasets, encoder)
     ckpt = projector_to_checkpoint(
         state.projector,
@@ -199,7 +207,7 @@ def _cmd_eval(args) -> int:
         }
     )
     datasets = _discover_datasets(args.data)
-    encoder, adapter = encoder_from_checkpoint(load_checkpoint(args.encoder))
+    encoder, adapter = _from_checkpoint(encoder_from_checkpoint, args.encoder)
     results: dict[str, dict] = {}
     if args.mode == "retrieval":
         rng = np.random.default_rng(args.seed)
@@ -209,7 +217,12 @@ def _cmd_eval(args) -> int:
     else:
         if args.projector is None:
             raise _UsageError("eval: error: --projector is required for classification mode")
-        projector, head = projector_from_checkpoint(load_checkpoint(args.projector))
+        projector, head = _from_checkpoint(projector_from_checkpoint, args.projector)
+        if projector.weight.shape[0] != encoder.hidden_dim:
+            raise ContractError(
+                f"{args.projector}: projector input dim {projector.weight.shape[0]} does not "
+                f"match the hidden dim {encoder.hidden_dim} of {args.encoder}"
+            )
         skipped = []
         for ds in datasets:
             if ds.domain not in head.instructions:

@@ -2,16 +2,17 @@
 
 Precedence is CLI override > config file > built-in default. Unknown keys
 anywhere in the file or in an override path are rejected. The built-in
-defaults mirror the reference hyperparameters (3-layer, 768-wide encoder,
-pretrain lr 1e-4, align lr 0.004, 7 tokens, warmup ratio 0.01, momentum
-0.7); desk-scale runs override the sizes in their config file.
+defaults are the field defaults of the config dataclasses and mirror the
+reference hyperparameters (3-layer, 768-wide encoder, pretrain lr 1e-4,
+align lr 0.004, 7 tokens, warmup ratio 0.01, momentum 0.7); desk-scale
+runs override the sizes in their config file.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .align import AlignConfig
 from .errors import InvalidParameterError, ValidationError
@@ -32,38 +33,12 @@ class EncoderSettings:
 
 @dataclass
 class RunConfig:
-    encoder: EncoderSettings
-    pretrain: PretrainConfig
-    align: AlignConfig
+    encoder: EncoderSettings = field(default_factory=EncoderSettings)
+    pretrain: PretrainConfig = field(default_factory=PretrainConfig)
+    align: AlignConfig = field(default_factory=AlignConfig)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def default_config_dict() -> dict:
-    return {
-        "encoder": {"num_layers": 3, "hidden_dim": 768},
-        "pretrain": {
-            "epochs": 100,
-            "batch_size": 4096,
-            "learning_rate": 1e-4,
-            "center_sample_cap": 1000,
-            "temperature": 1.0,
-            "seed": 0,
-        },
-        "align": {
-            "total_steps": 1000,
-            "batch_size": 3,
-            "learning_rate": 0.004,
-            "warmup_ratio": 0.01,
-            "momentum": 0.7,
-            "curriculum_temperature": 1.0,
-            "num_tokens": 7,
-            "token_dim": 64,
-            "seed": 0,
-            "weighting": "curriculum",
-        },
-    }
 
 
 def _merge_checked(base: dict, incoming: dict, where: str) -> None:
@@ -102,7 +77,7 @@ def apply_override(data: dict, spec: str) -> None:
 
 
 def load_run_config(path=None, overrides: list[str] | None = None) -> RunConfig:
-    data = default_config_dict()
+    data = RunConfig().as_dict()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             try:

@@ -30,13 +30,21 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) 
     return rng.uniform(-bound, bound, size=shape)
 
 
-def encoder_param_names(num_layers: int) -> list[str]:
-    names = []
+def encoder_param_shapes(
+    input_dim: int, hidden_dim: int, num_layers: int
+) -> dict[str, tuple[int, ...]]:
+    """Shape of every encoder parameter, by name, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    d_prev = input_dim
     for i in range(num_layers):
-        names += [f"layer{i}.self_weight", f"layer{i}.neigh_weight", f"layer{i}.bias"]
-    for head in ("node_head", "edge_head", "graph_head"):
-        names += [f"{head}.weight", f"{head}.bias"]
-    return names
+        shapes[f"layer{i}.self_weight"] = (d_prev, hidden_dim)
+        shapes[f"layer{i}.neigh_weight"] = (d_prev, hidden_dim)
+        shapes[f"layer{i}.bias"] = (hidden_dim,)
+        d_prev = hidden_dim
+    for head in HEAD_NAMES.values():
+        shapes[f"{head}.weight"] = (2 * hidden_dim, hidden_dim)
+        shapes[f"{head}.bias"] = (hidden_dim,)
+    return shapes
 
 
 @dataclass
@@ -53,15 +61,10 @@ class MultiScaleEncoder:
         if num_layers < 1:
             raise ContractError(f"encoder needs >= 1 layer, got {num_layers}")
         arrays: dict[str, np.ndarray] = {}
-        d_prev = input_dim
-        for i in range(num_layers):
-            arrays[f"layer{i}.self_weight"] = uniform_init(rng, d_prev, (d_prev, hidden_dim))
-            arrays[f"layer{i}.neigh_weight"] = uniform_init(rng, d_prev, (d_prev, hidden_dim))
-            arrays[f"layer{i}.bias"] = uniform_init(rng, d_prev, (hidden_dim,))
-            d_prev = hidden_dim
-        for head in ("node_head", "edge_head", "graph_head"):
-            arrays[f"{head}.weight"] = uniform_init(rng, 2 * hidden_dim, (2 * hidden_dim, hidden_dim))
-            arrays[f"{head}.bias"] = uniform_init(rng, 2 * hidden_dim, (hidden_dim,))
+        for name, shape in encoder_param_shapes(input_dim, hidden_dim, num_layers).items():
+            if len(shape) == 2:
+                fan_in = shape[0]  # a bias shares the fan-in of the weight before it
+            arrays[name] = uniform_init(rng, fan_in, shape)
         return cls(input_dim, hidden_dim, num_layers, ParamSet(arrays))
 
     def with_params(self, params: ParamSet) -> "MultiScaleEncoder":
@@ -94,29 +97,6 @@ def _neighbor_mean(
     np.add.at(agg, dst, h[src])
     agg *= inv_deg[:, None]
     return agg
-
-
-def sage_layer_forward(
-    h: Matrix,
-    edges: list[tuple[int, int]],
-    self_weight: np.ndarray,
-    neigh_weight: np.ndarray,
-    bias: np.ndarray,
-    last: bool = False,
-) -> Matrix:
-    """One mean-aggregator layer: act(h W_self + mean_in(h) W_neigh + b)."""
-    h = np.asarray(h, dtype=np.float64)
-    n = h.shape[0]
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise DimensionError(f"edge ({u},{v}) out of range for {n} nodes")
-    if h.shape[1] != self_weight.shape[0]:
-        raise DimensionError(
-            f"feature dim {h.shape[1]} does not match layer input dim {self_weight.shape[0]}"
-        )
-    src, dst, inv_deg = _edge_arrays(n, list(edges))
-    pre = h @ self_weight + _neighbor_mean(h, src, dst, inv_deg) @ neigh_weight + bias
-    return pre if last else np.maximum(pre, 0.0)
 
 
 @dataclass
@@ -201,9 +181,7 @@ def task_representation(
 # ---------------------------------------------------------------- backward
 
 
-def encoder_backward(
-    cache: EncodeCache, upstream: np.ndarray, with_input_grad: bool = False
-) -> ParamSet | tuple[ParamSet, np.ndarray]:
+def encoder_backward(cache: EncodeCache, upstream: np.ndarray) -> ParamSet:
     """Exact gradients of (upstream . x_star) for every encoder parameter.
 
     ``cache`` must come from a task_representation call; heads not used by
@@ -247,7 +225,4 @@ def encoder_backward(
         if cache.src.size:
             np.add.at(d_h, cache.src, d_agg[cache.dst] * cache.inv_deg[cache.dst, None])
 
-    grad_set = ParamSet(grads)
-    if with_input_grad:
-        return grad_set, d_h
-    return grad_set
+    return ParamSet(grads)

@@ -38,6 +38,10 @@ EMBEDDING_MAGIC = b"UGEMB\x01"
 
 TASK_KINDS = ("node", "edge", "graph")
 
+# Stage II sizes its frozen head and its metrics by the class count, so a
+# header cannot ask for more classes than this.
+MAX_CLASSES = 1 << 16
+
 TaskKind = str
 
 
@@ -169,8 +173,8 @@ def _validate_dataset(ds: DomainDataset) -> None:
     n_texts = ds.text_embeddings.shape[0]
     if ds.task not in TASK_KINDS:
         raise ValidationError(f"unknown task kind {ds.task!r}")
-    if ds.num_classes < 1:
-        raise ValidationError(f"class count must be >= 1, got {ds.num_classes}")
+    if not 1 <= ds.num_classes <= MAX_CLASSES:
+        raise ValidationError(f"class count must lie in [1,{MAX_CLASSES}], got {ds.num_classes}")
     feature_dim: int | None = None
     for i, inst in enumerate(ds.instances):
         if inst.domain != ds.domain:
@@ -229,7 +233,11 @@ def load_embeddings(path) -> np.ndarray:
     if len(blob) != expected:
         raise ParseError(f"{path}: expected {expected} bytes for {count}x{dim}, got {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=len(EMBEDDING_MAGIC) + 8)
-    return flat.astype(np.float64).reshape(count, dim)
+    table = flat.astype(np.float64).reshape(count, dim)
+    bad = np.nonzero(~np.isfinite(table).all(axis=1))[0]
+    if bad.size:
+        raise ParseError(f"{path}: embedding row {int(bad[0])} has non-finite entries")
+    return table
 
 
 # ------------------------------------------------------------- JSONL IO
@@ -304,9 +312,13 @@ def _parse_instance(record: dict, where: str) -> GraphInstance:
             raise ParseError(
                 f"{where}: node_features must be a list of equal-length rows"
             )
+        if not np.isfinite(feats).all():
+            raise ParseError(f"{where}: node_features has non-finite entries")
         edge_feats = None
         if record.get("edge_features") is not None:
             edge_feats = np.asarray(record["edge_features"], dtype=np.float64)
+            if edge_feats.ndim == 0:
+                raise ParseError(f"{where}: edge_features must be a list of rows")
         label = record["label"]
         return GraphInstance(
             num_nodes=int(record["num_nodes"]),
@@ -320,7 +332,7 @@ def _parse_instance(record: dict, where: str) -> GraphInstance:
         )
     except KeyError as exc:
         raise ParseError(f"{where}: missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed record: {exc}") from exc
 
 
@@ -355,7 +367,7 @@ def load_dataset(graph_path, embedding_path) -> DomainDataset:
             val=[int(i) for i in raw_splits["val"]],
             test=[int(i) for i in raw_splits["test"]],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{graph_path}:1: malformed header: {exc}") from exc
 
     instances: list[GraphInstance] = []
@@ -368,6 +380,8 @@ def load_dataset(graph_path, embedding_path) -> DomainDataset:
                 f"{graph_path}:{lineno}: instance task {record.get('task')!r} != header task {task!r}"
             )
         instances.append(_parse_instance(record, f"{graph_path}:{lineno}"))
+    if not instances:
+        raise EmptyDataError(f"{graph_path}:1: domain {domain!r} has no instances")
 
     embeddings = load_embeddings(embedding_path)
     ds = DomainDataset(
@@ -378,37 +392,11 @@ def load_dataset(graph_path, embedding_path) -> DomainDataset:
         text_embeddings=embeddings,
         splits=splits,
     )
-    _validate_dataset(ds)
+    try:
+        _validate_dataset(ds)
+    except ValidationError as exc:
+        raise ValidationError(f"{graph_path}: {exc}") from exc
     return ds
-
-
-def datasets_equal(a: DomainDataset, b: DomainDataset) -> bool:
-    """Structural equality, used by round-trip tests."""
-    if (a.domain, a.task, a.num_classes) != (b.domain, b.task, b.num_classes):
-        return False
-    if (a.splits.train, a.splits.val, a.splits.test) != (b.splits.train, b.splits.val, b.splits.test):
-        return False
-    if not np.array_equal(a.text_embeddings, b.text_embeddings):
-        return False
-    if len(a.instances) != len(b.instances):
-        return False
-    for x, y in zip(a.instances, b.instances):
-        if (x.num_nodes, x.edges, x.target, x.label, x.text_index, x.domain) != (
-            y.num_nodes,
-            y.edges,
-            y.target,
-            y.label,
-            y.text_index,
-            y.domain,
-        ):
-            return False
-        if not np.array_equal(x.node_features, y.node_features):
-            return False
-        if (x.edge_features is None) != (y.edge_features is None):
-            return False
-        if x.edge_features is not None and not np.array_equal(x.edge_features, y.edge_features):
-            return False
-    return True
 
 
 # --------------------------------------------------------------- batching
@@ -435,10 +423,3 @@ def iterate_epochs(
             chunk = [pool[int(j)] for j in order[start : start + batch_size]]
             domains = tuple(sorted({ds.domain for ds, _ in chunk}))
             yield Batch(items=chunk, active_domains=domains)
-
-
-def sample_minibatch(
-    datasets: Sequence[DomainDataset], batch_size: int, rng: np.random.Generator
-) -> Batch:
-    """First batch of a freshly shuffled epoch."""
-    return next(iterate_epochs(datasets, batch_size, 1, rng))

@@ -1,5 +1,5 @@
-"""Dense float64 matrix primitives, named parameter sets, optimizers, and a
-finite-difference gradient oracle.
+"""Dense float64 matrix primitives, named parameter sets, the Adam
+optimizer, and a finite-difference gradient oracle.
 
 Everything here is pure: functions never mutate their inputs and identical
 inputs produce bit-identical outputs. All compute is 64-bit so the
@@ -37,17 +37,6 @@ def _ensure_finite(arr: np.ndarray, label: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{label} contains non-finite entries")
     return arr
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product with an explicit shape contract."""
-    a2 = _as2d(a, "left operand")
-    b2 = _as2d(b, "right operand")
-    if a2.shape[1] != b2.shape[0]:
-        raise DimensionError(
-            f"cannot multiply {a2.shape[0]}x{a2.shape[1]} by {b2.shape[0]}x{b2.shape[1]}"
-        )
-    return _ensure_finite(a2 @ b2, "matmul result")
 
 
 def row_norms(x: Matrix, label: str = "matrix") -> np.ndarray:
@@ -117,20 +106,11 @@ class ParamSet:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.arrays
-
-    def __len__(self) -> int:
-        return len(self.arrays)
-
     def copy(self) -> "ParamSet":
         return ParamSet(self.arrays)
 
     def zeros_like(self) -> "ParamSet":
         return ParamSet({k: np.zeros_like(v) for k, v in self.arrays.items()})
-
-    def map(self, fn: Callable[[np.ndarray], np.ndarray]) -> "ParamSet":
-        return ParamSet({k: fn(v) for k, v in self.arrays.items()})
 
     def __add__(self, other: "ParamSet") -> "ParamSet":
         assert_same_shapes(self, other)
@@ -148,14 +128,6 @@ class ParamSet:
             total += float(np.sum(v * v))
         return float(np.sqrt(total))
 
-    def allclose(self, other: "ParamSet", atol: float = 0.0) -> bool:
-        if self.names() != other.names():
-            return False
-        return all(
-            np.allclose(v, other.arrays[k], rtol=0.0, atol=atol)
-            for k, v in self.arrays.items()
-        )
-
     @staticmethod
     def merged(parts: Iterable["ParamSet"]) -> "ParamSet":
         """Concatenate several ParamSets; duplicate names are an error."""
@@ -166,9 +138,6 @@ class ParamSet:
                     raise InvalidParameterError(f"duplicate parameter name {name!r}")
                 out[name] = arr
         return ParamSet(out)
-
-    def subset(self, prefix: str) -> "ParamSet":
-        return ParamSet({k: v for k, v in self.arrays.items() if k.startswith(prefix)})
 
 
 def assert_same_shapes(params: ParamSet, grads: ParamSet) -> None:
@@ -183,22 +152,21 @@ def assert_same_shapes(params: ParamSet, grads: ParamSet) -> None:
             )
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class OptimizerState:
-    """SGD or Adam state; moments mirror parameter shapes lazily."""
+    """Adam state; moments mirror parameter shapes lazily."""
 
-    kind: str
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     first_moment: dict[str, np.ndarray] = field(default_factory=dict)
     second_moment: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("sgd", "adam"):
-            raise InvalidParameterError(f"unknown optimizer kind {self.kind!r}")
         # zero is allowed as an explicit null update
         if self.learning_rate < 0 or not np.isfinite(self.learning_rate):
             raise InvalidParameterError(
@@ -207,61 +175,34 @@ class OptimizerState:
         if self.step < 0:
             raise InvalidParameterError("step must be nonnegative")
 
-    @classmethod
-    def sgd(cls, learning_rate: float) -> "OptimizerState":
-        return cls(kind="sgd", learning_rate=learning_rate)
-
-    @classmethod
-    def adam(
-        cls,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ) -> "OptimizerState":
-        return cls(kind="adam", learning_rate=learning_rate, beta1=beta1, beta2=beta2, epsilon=epsilon)
-
 
 def optimizer_step(
     opt: OptimizerState, params: ParamSet, grads: ParamSet
 ) -> tuple[ParamSet, OptimizerState]:
-    """One update; returns the new parameters and the advanced optimizer state."""
+    """One Adam update; returns the new parameters and the advanced state."""
     assert_same_shapes(params, grads)
     lr = opt.learning_rate
-    if opt.kind == "sgd":
-        new = ParamSet({k: v - lr * grads[k] for k, v in params.items()})
-        new_opt = OptimizerState(kind="sgd", learning_rate=lr, step=opt.step + 1)
-    else:
-        t = opt.step + 1
-        b1, b2, eps = opt.beta1, opt.beta2, opt.epsilon
-        m_new: dict[str, np.ndarray] = {}
-        v_new: dict[str, np.ndarray] = {}
-        updated: dict[str, np.ndarray] = {}
-        for name, p in params.items():
-            g = grads[name]
-            m_prev = opt.first_moment.get(name, np.zeros_like(p))
-            v_prev = opt.second_moment.get(name, np.zeros_like(p))
-            m = b1 * m_prev + (1.0 - b1) * g
-            v = b2 * v_prev + (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            updated[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-            m_new[name] = m
-            v_new[name] = v
-        new = ParamSet(updated)
-        new_opt = OptimizerState(
-            kind="adam",
-            learning_rate=lr,
-            beta1=b1,
-            beta2=b2,
-            epsilon=eps,
-            step=t,
-            first_moment=m_new,
-            second_moment=v_new,
-        )
+    t = opt.step + 1
+    m_new: dict[str, np.ndarray] = {}
+    v_new: dict[str, np.ndarray] = {}
+    updated: dict[str, np.ndarray] = {}
+    for name, p in params.items():
+        g = grads[name]
+        m_prev = opt.first_moment.get(name, np.zeros_like(p))
+        v_prev = opt.second_moment.get(name, np.zeros_like(p))
+        m = ADAM_BETA1 * m_prev + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v_prev + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        updated[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+        m_new[name] = m
+        v_new[name] = v
+    new = ParamSet(updated)
     for name, arr in new.items():
         _ensure_finite(arr, f"updated parameter {name!r}")
-    return new, new_opt
+    return new, OptimizerState(
+        learning_rate=lr, step=t, first_moment=m_new, second_moment=v_new
+    )
 
 
 def finite_difference_gradient(

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     ChecksumError,
     CheckpointFormatError,
+    ContractError,
     TruncatedFileError,
     UnsupportedVersionError,
     ValidationError,
@@ -60,10 +61,23 @@ class Checkpoint:
     def __post_init__(self) -> None:
         self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in self.tensors.items()}
 
-    def param_set(self, prefix: str = "") -> ParamSet:
-        """Tensors under a prefix as a ParamSet, sorted by name."""
-        names = sorted(k for k in self.tensors if k.startswith(prefix))
-        return ParamSet({k: self.tensors[k] for k in names})
+    def tensor(self, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+        """The named tensor, checked to be present, finite and of ``shape``.
+
+        A ``None`` entry in ``shape`` accepts any positive size.
+        """
+        arr = self.tensors.get(name)
+        if arr is None:
+            raise ContractError(f"checkpoint lacks tensor {name!r}")
+        if arr.ndim != len(shape) or any(
+            size < 1 if want is None else size != want for size, want in zip(arr.shape, shape)
+        ):
+            raise ContractError(
+                f"checkpoint tensor {name!r} has shape {arr.shape}, expected {shape}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise ContractError(f"checkpoint tensor {name!r} has non-finite entries")
+        return arr
 
 
 def _encode_tensor_table(tensors: dict[str, np.ndarray]) -> bytes:

@@ -21,7 +21,7 @@ import numpy as np
 from .encoder import (
     MultiScaleEncoder,
     encoder_backward,
-    encoder_param_names,
+    encoder_param_shapes,
     task_representation,
     uniform_init,
 )
@@ -83,6 +83,10 @@ class TextAdapter:
         )
 
     def apply(self, t: np.ndarray) -> np.ndarray:
+        if t.shape[1] != self.weight.shape[0]:
+            raise DimensionError(
+                f"text rows have dim {t.shape[1]} but the adapter expects {self.weight.shape[0]}"
+            )
         return t @ self.weight + self.bias
 
     def params(self) -> ParamSet:
@@ -94,8 +98,8 @@ class TextAdapter:
 
 @dataclass
 class PretrainConfig:
-    epochs: int
-    batch_size: int
+    epochs: int = 100
+    batch_size: int = 4096
     learning_rate: float = 1e-4
     center_sample_cap: int = CENTER_SAMPLE_CAP
     temperature: float = 1.0
@@ -120,14 +124,13 @@ class PretrainConfig:
 def compute_domain_centers(
     datasets: list[DomainDataset],
     cap: int = CENTER_SAMPLE_CAP,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> DomainCenters:
     """Per-domain mean of raw node-feature means and of text embeddings.
 
     At most ``cap`` instances are sampled per domain, without replacement.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     domains: list[str] = []
     graph_centers: dict[str, np.ndarray] = {}
     text_centers: dict[str, np.ndarray] = {}
@@ -330,13 +333,13 @@ def pretrain_loop(
     adapter = None
     if d_t != hidden_dim:
         adapter = TextAdapter.initialize(d_t, hidden_dim, np.random.default_rng(seeds[1]))
-    centers = compute_domain_centers(datasets, config.center_sample_cap, np.random.default_rng(seeds[2]))
+    centers = compute_domain_centers(datasets, config.center_sample_cap, rng=np.random.default_rng(seeds[2]))
     weights = build_domain_weights(centers)
 
     params = ParamSet.merged(
         [enc.params] + ([adapter.params()] if adapter is not None else [])
     )
-    opt = OptimizerState.adam(config.learning_rate)
+    opt = OptimizerState(config.learning_rate)
     enc_names = enc.params.names()
 
     epoch_losses: list[float] = []
@@ -384,7 +387,7 @@ def pretrain_loop(
 
 
 def encoder_to_checkpoint(
-    encoder: MultiScaleEncoder, adapter: TextAdapter | None, metadata: dict | None = None
+    encoder: MultiScaleEncoder, adapter: TextAdapter | None, metadata: dict
 ) -> Checkpoint:
     meta = {
         "stage": "pretrain",
@@ -392,9 +395,8 @@ def encoder_to_checkpoint(
         "hidden_dim": encoder.hidden_dim,
         "num_layers": encoder.num_layers,
         "has_adapter": adapter is not None,
+        **metadata,
     }
-    if metadata:
-        meta.update(metadata)
     tensors = dict(encoder.params.items())
     if adapter is not None:
         tensors.update(dict(adapter.params().items()))
@@ -410,17 +412,22 @@ def encoder_from_checkpoint(ckpt: Checkpoint) -> tuple[MultiScaleEncoder, TextAd
         has_adapter = bool(meta["has_adapter"])
     except KeyError as exc:
         raise ContractError(f"checkpoint metadata missing key {exc.args[0]!r}") from exc
-    names = encoder_param_names(num_layers)
-    missing = [n for n in names if n not in ckpt.tensors]
-    if missing:
-        raise ContractError(f"checkpoint lacks encoder tensors: {missing[:3]}")
-    params = ParamSet({name: ckpt.tensors[name] for name in names})
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"checkpoint metadata is malformed: {exc}") from exc
+    # every layer holds three tensors; the bound also keeps a corrupt count
+    # from building a huge shape table below
+    if not 1 <= num_layers <= len(ckpt.tensors) // 3:
+        raise ContractError(
+            f"checkpoint declares {num_layers} encoder layers but holds {len(ckpt.tensors)} tensors"
+        )
+    shapes = encoder_param_shapes(input_dim, hidden_dim, num_layers)
+    params = ParamSet({name: ckpt.tensor(name, shape) for name, shape in shapes.items()})
     encoder = MultiScaleEncoder(input_dim, hidden_dim, num_layers, params)
     adapter = None
     if has_adapter:
         adapter = TextAdapter(
-            weight=ckpt.tensors["text_adapter.weight"],
-            bias=ckpt.tensors["text_adapter.bias"],
+            weight=ckpt.tensor("text_adapter.weight", (None, hidden_dim)),
+            bias=ckpt.tensor("text_adapter.bias", (hidden_dim,)),
         )
     return encoder, adapter
 

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by test modules.
 
-These are direct per-pair transcriptions of the losses they check and
-deliberately share no code with the production implementations.
+The loss oracles are direct per-pair transcriptions of the losses they
+check and deliberately share no code with the production implementations.
 """
 
 import math
@@ -38,3 +38,32 @@ def brute_force_infonce(x, t, tau):
     n = len(x)
     ones = np.ones((n, n))
     return brute_force_dr_clip(x, t, ["same"] * n, ones, ones, {"same": 0}, tau)
+
+
+def datasets_equal(a, b):
+    """Structural equality of two DomainDatasets, used by round-trip tests."""
+    if (a.domain, a.task, a.num_classes) != (b.domain, b.task, b.num_classes):
+        return False
+    if (a.splits.train, a.splits.val, a.splits.test) != (b.splits.train, b.splits.val, b.splits.test):
+        return False
+    if not np.array_equal(a.text_embeddings, b.text_embeddings):
+        return False
+    if len(a.instances) != len(b.instances):
+        return False
+    for x, y in zip(a.instances, b.instances):
+        if (x.num_nodes, x.edges, x.target, x.label, x.text_index, x.domain) != (
+            y.num_nodes,
+            y.edges,
+            y.target,
+            y.label,
+            y.text_index,
+            y.domain,
+        ):
+            return False
+        if not np.array_equal(x.node_features, y.node_features):
+            return False
+        if (x.edge_features is None) != (y.edge_features is None):
+            return False
+        if x.edge_features is not None and not np.array_equal(x.edge_features, y.edge_features):
+            return False
+    return True

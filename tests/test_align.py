@@ -14,18 +14,16 @@ from uglm.align import (
     align_step,
     classification_metrics,
     curriculum_weights,
-    domain_batch_losses,
+    domain_losses,
     domain_mean_gradient,
     evaluate_classification,
     instance_loss,
     mean_split_loss,
-    project,
     projector_grad,
-    projector_gradient_norm,
     update_difficulty,
 )
 from uglm.encoder import MultiScaleEncoder
-from uglm.errors import ContractError, DimensionError
+from uglm.errors import ContractError
 from uglm.graphdata import Batch
 from uglm.numcore import (
     OptimizerState,
@@ -62,35 +60,6 @@ def small_setup(classes=3, d=6, m=2, d_l=4, seed=0):
     proj = Projector.initialize(d, m, d_l, np.random.default_rng(seed + 2))
     head = FrozenHead.build(seed + 3, {ds.domain: classes}, m, d_l)
     return ds, enc, proj, head
-
-
-# ------------------------------------------------------------------ project
-
-
-def test_project_zero_weights_yields_bias_slices():
-    proj = Projector(weight=np.zeros((3, 4)), bias=np.arange(4.0), num_tokens=2, token_dim=2)
-    tokens = project(np.array([5.0, -1.0, 2.0]), proj)
-    assert np.array_equal(tokens, np.array([[0.0, 1.0], [2.0, 3.0]]))
-
-
-def test_project_single_token_is_linear_output():
-    rng = np.random.default_rng(0)
-    proj = Projector(weight=rng.normal(size=(3, 4)), bias=rng.normal(size=4), num_tokens=1, token_dim=4)
-    x = rng.normal(size=3)
-    tokens = project(x, proj)
-    assert np.array_equal(tokens, (x @ proj.weight + proj.bias).reshape(1, 4))
-
-
-def test_project_direct_arithmetic():
-    proj = Projector(weight=np.eye(2), bias=np.zeros(2), num_tokens=2, token_dim=1)
-    tokens = project(np.array([3.0, 5.0]), proj)
-    assert np.array_equal(tokens, np.array([[3.0], [5.0]]))
-
-
-def test_project_dim_mismatch():
-    proj = Projector(weight=np.eye(2), bias=np.zeros(2), num_tokens=2, token_dim=1)
-    with pytest.raises(DimensionError):
-        project(np.array([1.0, 2.0, 3.0]), proj)
 
 
 # ------------------------------------------------------------- frozen head
@@ -162,7 +131,7 @@ def test_domain_batch_losses_are_within_domain_means():
         items=[(ds_a, 0), (ds_a, 1), (ds_b, 2)],
         active_domains=("a", "b"),
     )
-    losses = domain_batch_losses(batch, enc, proj, head)
+    losses, _ = domain_losses(batch, enc, proj, head)
     assert set(losses) == {"a", "b"}
     la0 = instance_loss(ds_a.instances[0], enc, proj, head)[0]
     la1 = instance_loss(ds_a.instances[1], enc, proj, head)[0]
@@ -174,14 +143,14 @@ def test_gradient_norm_zero_when_mixing_zero():
     ds, enc, proj, head = small_setup()
     head.mixing = np.zeros_like(head.mixing)
     _, cache = instance_loss(ds.instances[0], enc, proj, head)
-    assert projector_gradient_norm([cache], proj, head) == 0.0
+    assert domain_mean_gradient([cache], proj, head).norm() == 0.0
 
 
 def test_gradient_norm_invariant_under_duplication():
     ds, enc, proj, head = small_setup()
     caches = [instance_loss(ds.instances[i], enc, proj, head)[1] for i in range(3)]
-    g_once = projector_gradient_norm(caches, proj, head)
-    g_twice = projector_gradient_norm(caches + caches, proj, head)
+    g_once = domain_mean_gradient(caches, proj, head).norm()
+    g_twice = domain_mean_gradient(caches + caches, proj, head).norm()
     assert g_twice == pytest.approx(g_once, rel=1e-12)
 
 
@@ -321,7 +290,7 @@ def test_identical_twin_domains_get_half_weight_every_step():
     config = AlignConfig(total_steps=5, batch_size=12, seed=0)
     state = AlignState(
         projector=proj,
-        optimizer=OptimizerState.adam(config.learning_rate),
+        optimizer=OptimizerState(config.learning_rate),
         tracker=DifficultyTracker.create(5, config.warmup_ratio, config.momentum),
     )
     for _ in range(5):
@@ -340,7 +309,7 @@ def test_equal_difficulty_update_matches_uniform_weighting_bitwise():
                 weight=proj.weight.copy(), bias=proj.bias.copy(),
                 num_tokens=proj.num_tokens, token_dim=proj.token_dim,
             ),
-            optimizer=OptimizerState.adam(config.learning_rate),
+            optimizer=OptimizerState(config.learning_rate),
             tracker=DifficultyTracker.create(4, config.warmup_ratio, config.momentum),
         )
         for _ in range(4):
@@ -363,7 +332,7 @@ def test_huge_temperature_behaves_as_uniform():
     config = AlignConfig(total_steps=1, batch_size=10, seed=0, curriculum_temperature=1e9)
     state = AlignState(
         projector=proj,
-        optimizer=OptimizerState.adam(config.learning_rate),
+        optimizer=OptimizerState(config.learning_rate),
         tracker=DifficultyTracker.create(1, config.warmup_ratio, config.momentum),
     )
     state = align_step(batch, state, config, enc, head)
@@ -395,13 +364,11 @@ def test_weighted_objective_gradient_matches_finite_differences():
 
     def objective(ps):
         p2 = proj.with_params(ps)
-        losses = domain_batch_losses(batch, enc, p2, head)
+        losses, _ = domain_losses(batch, enc, p2, head)
         return sum(fixed_weights[d] * losses[d] for d in losses)
 
     numeric = finite_difference_gradient(objective, proj.params())
-    from uglm.align import _domain_losses_with_caches
-
-    _, groups = _domain_losses_with_caches(batch, enc, proj, head)
+    _, groups = domain_losses(batch, enc, proj, head)
     analytic = proj.params().zeros_like()
     for domain, group in sorted(groups.items()):
         analytic = analytic + fixed_weights[domain] * domain_mean_gradient(group, proj, head)
@@ -472,6 +439,13 @@ def test_evaluate_classification_runs_and_bounds():
     ds, enc, proj, head = small_setup()
     acc, f1 = evaluate_classification(enc, proj, head, ds, split="test")
     assert 0.0 <= acc <= 1.0 and 0.0 <= f1 <= 1.0
+
+
+def test_classification_rejects_head_with_other_class_count():
+    ds, enc, proj, _ = small_setup(classes=3)
+    head = FrozenHead.build(3, {ds.domain: 2}, proj.num_tokens, proj.token_dim)
+    with pytest.raises(ContractError):
+        evaluate_classification(enc, proj, head, ds, split="test")
 
 
 def test_empty_split_contract_error():

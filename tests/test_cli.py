@@ -1,11 +1,17 @@
 import json
+import os
+import pathlib
+import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import uglm
 from uglm.cli import main
 from uglm.gradcheck import CheckResult
+from uglm.persist import load_checkpoint, save_checkpoint
 
 DESK_CONFIG = {
     "encoder": {"num_layers": 2, "hidden_dim": 16},
@@ -45,6 +51,17 @@ def pipeline(tmp_path_factory, suite_dir, config_path):
         "--encoder", str(enc), "--out", str(proj), "--metrics", str(metrics),
     ]) == 0
     return {"work": work, "encoder": enc, "projector": proj, "metrics": metrics}
+
+
+@pytest.fixture(scope="module")
+def adapter_encoder(tmp_path_factory, suite_dir, config_path):
+    """An encoder narrower than the text rows, so it carries a text adapter."""
+    enc = tmp_path_factory.mktemp("adapter") / "encoder.ckpt"
+    assert main([
+        "pretrain", "--config", str(config_path), "--data", str(suite_dir),
+        "--out", str(enc), "--set", "encoder.hidden_dim=8", "--set", "pretrain.epochs=1",
+    ]) == 0
+    return enc
 
 
 def test_synth_writes_loadable_suite(suite_dir):
@@ -131,6 +148,73 @@ def test_missing_checkpoint_is_io_error(config_path, suite_dir, tmp_path):
     assert rc == 2
 
 
+def test_domain_without_instances_exits_1(config_path, suite_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    shutil.copytree(suite_dir, data)
+    graph_path = data / "easy.jsonl"
+    graph_path.write_text(graph_path.read_text().splitlines()[0] + "\n")
+    rc = main([
+        "pretrain", "--config", str(config_path), "--data", str(data),
+        "--out", str(tmp_path / "e.ckpt"),
+    ])
+    assert rc == 1
+    assert f"{graph_path}:1:" in capsys.readouterr().err
+
+
+def _drop(tensors, name):
+    del tensors[name]
+
+
+def _widen(tensors, name):
+    tensors[name] = np.concatenate([tensors[name], tensors[name][:1]])
+
+
+def _poison(tensors, name):
+    tensors[name] = tensors[name].copy()
+    tensors[name].flat[0] = np.nan
+
+
+@pytest.mark.parametrize(
+    "artifact, tensor, edit",
+    [
+        ("adapter_encoder", "text_adapter.bias", _drop),
+        ("encoder", "layer0.self_weight", _widen),
+        ("encoder", "graph_head.bias", _poison),
+        ("projector", "projector.bias", _drop),
+        ("projector", "projector.weight", _widen),
+        ("projector", "frozen_head.mixing", _widen),
+        ("projector", "frozen_head.easy.labels", _drop),
+        ("projector", "frozen_head.hard.instruction", _poison),
+    ],
+)
+def test_bad_checkpoint_tensor_exits_1(
+    pipeline, adapter_encoder, suite_dir, tmp_path, capsys, artifact, tensor, edit
+):
+    source = adapter_encoder if artifact == "adapter_encoder" else pipeline[artifact]
+    ckpt = load_checkpoint(source)
+    edit(ckpt.tensors, tensor)
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    if artifact == "projector":
+        argv = ["--encoder", str(pipeline["encoder"]), "--projector", str(bad),
+                "--mode", "classification"]
+    else:
+        argv = ["--encoder", str(bad), "--mode", "retrieval", "--pool", "20"]
+    rc = main(["eval", "--data", str(suite_dir), *argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bad) in err and tensor in err
+
+
+def test_projector_encoder_width_mismatch_exits_1(pipeline, adapter_encoder, suite_dir, capsys):
+    rc = main([
+        "eval", "--encoder", str(adapter_encoder), "--projector", str(pipeline["projector"]),
+        "--data", str(suite_dir), "--mode", "classification",
+    ])
+    assert rc == 1
+    assert str(pipeline["projector"]) in capsys.readouterr().err
+
+
 def test_resolved_config_echo_and_override_precedence(config_path, suite_dir, tmp_path, capsys):
     rc = main([
         "pretrain", "--config", str(config_path), "--data", str(suite_dir),
@@ -188,10 +272,14 @@ def test_report_emits_per_domain_trajectories(pipeline, tmp_path, capsys):
 
 
 def test_console_entry_point_subprocess(tmp_path):
+    # the child imports uglm from wherever this process did
+    paths = [str(pathlib.Path(uglm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     result = subprocess.run(
         [sys.executable, "-m", "uglm", "synth", "--out", str(tmp_path / "s"), "--seed", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.splitlines()[0])["command"] == "synth"

@@ -5,7 +5,6 @@ from uglm.encoder import (
     MultiScaleEncoder,
     encode_node_graph,
     encoder_backward,
-    sage_layer_forward,
     task_representation,
 )
 from uglm.errors import ContractError, DimensionError
@@ -14,16 +13,18 @@ from uglm.numcore import ParamSet, finite_difference_gradient, max_relative_erro
 
 
 def manual_encoder(w_self, w_neigh, bias, heads_value=1.0):
-    """Single-layer encoder with hand-set scalar layer weights (d=1)."""
+    """Single-layer encoder with hand-set layer weights; scalars give d=1."""
+    w_self = np.atleast_2d(np.asarray(w_self, dtype=np.float64))
+    d_in, d = w_self.shape
     arrays = {
-        "layer0.self_weight": np.array([[w_self]]),
-        "layer0.neigh_weight": np.array([[w_neigh]]),
-        "layer0.bias": np.array([bias]),
+        "layer0.self_weight": w_self,
+        "layer0.neigh_weight": np.atleast_2d(np.asarray(w_neigh, dtype=np.float64)),
+        "layer0.bias": np.atleast_1d(np.asarray(bias, dtype=np.float64)),
     }
     for head in ("node_head", "edge_head", "graph_head"):
-        arrays[f"{head}.weight"] = np.full((2, 1), heads_value)
-        arrays[f"{head}.bias"] = np.zeros(1)
-    return MultiScaleEncoder(input_dim=1, hidden_dim=1, num_layers=1, params=ParamSet(arrays))
+        arrays[f"{head}.weight"] = np.full((2 * d, d), heads_value)
+        arrays[f"{head}.bias"] = np.zeros(d)
+    return MultiScaleEncoder(input_dim=d_in, hidden_dim=d, num_layers=1, params=ParamSet(arrays))
 
 
 def instance(num_nodes, edges, features, target, domain="d0"):
@@ -57,29 +58,28 @@ def random_instance(rng, n, d_in, kind):
 
 def test_sage_layer_identity_on_isolated_nodes():
     h = np.array([[1.0, 2.0], [3.0, -4.0]])
-    out = sage_layer_forward(h, [], np.eye(2), np.eye(2), np.zeros(2), last=True)
+    enc = manual_encoder(np.eye(2), np.eye(2), np.zeros(2))
+    out, _, _ = encode_node_graph(instance(2, [], h, GraphTarget()), enc)
     assert np.array_equal(out, h)
 
 
 def test_sage_layer_two_node_worked_example():
-    h = np.array([[1.0], [3.0]])
-    out = sage_layer_forward(
-        h, [(0, 1), (1, 0)], np.array([[1.0]]), np.array([[1.0]]), np.zeros(1), last=True
-    )
+    enc = manual_encoder(1.0, 1.0, 0.0)
+    g = instance(2, [(0, 1), (1, 0)], [[1.0], [3.0]], GraphTarget())
+    out, _, _ = encode_node_graph(g, enc)
     assert np.array_equal(out, np.array([[4.0], [4.0]]))
 
 
 def test_sage_layer_zero_weights():
-    h = np.array([[1.0], [2.0]])
-    out = sage_layer_forward(
-        h, [(0, 1)], np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1), last=True
-    )
+    enc = manual_encoder(0.0, 0.0, 0.0)
+    out, _, _ = encode_node_graph(instance(2, [(0, 1)], [[1.0], [2.0]], GraphTarget()), enc)
     assert np.array_equal(out, np.zeros((2, 1)))
 
 
 def test_sage_layer_dimension_error():
+    enc = manual_encoder(np.eye(2), np.eye(2), np.zeros(2))
     with pytest.raises(DimensionError):
-        sage_layer_forward(np.ones((2, 3)), [], np.eye(2), np.eye(2), np.zeros(2))
+        encode_node_graph(instance(2, [], np.ones((2, 3)), GraphTarget()), enc)
 
 
 def test_worked_example_graph_representation():
@@ -226,28 +226,3 @@ def test_backward_requires_task_cache():
     _, _, cache = encode_node_graph(g, enc)
     with pytest.raises(ContractError):
         encoder_backward(cache, np.zeros(3))
-
-
-def test_input_gradient_flag():
-    rng = np.random.default_rng(15)
-    enc = MultiScaleEncoder.initialize(2, 3, 2, rng)
-    g = random_instance(rng, 4, 2, "graph")
-    x, cache = task_representation(g, enc)
-    probe = rng.normal(size=3)
-    _, d_input = encoder_backward(cache, probe, with_input_grad=True)
-    assert d_input.shape == (4, 2)
-
-    def f(feats):
-        g2 = instance(4, g.edges, feats, GraphTarget())
-        x2, _ = task_representation(g2, enc)
-        return float(probe @ x2)
-
-    eps = 1e-6
-    feats = np.asarray(g.node_features, dtype=np.float64)
-    for i, j in [(0, 0), (2, 1), (3, 0)]:
-        bumped = feats.copy()
-        bumped[i, j] += eps
-        dipped = feats.copy()
-        dipped[i, j] -= eps
-        fd = (f(bumped) - f(dipped)) / (2 * eps)
-        assert d_input[i, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)

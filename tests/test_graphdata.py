@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import datasets_equal
+
 from uglm.errors import EmptyDataError, ParseError, ValidationError
 from uglm.graphdata import (
     DomainDataset,
     EdgeTarget,
     GraphInstance,
     GraphTarget,
+    MAX_CLASSES,
     NodeTarget,
     Splits,
-    datasets_equal,
     iterate_epochs,
     load_dataset,
     load_embeddings,
-    sample_minibatch,
     save_dataset,
     save_embeddings,
     validate_graph,
@@ -113,6 +114,56 @@ def test_flat_node_features_rejected(tmp_path):
     gp.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
     with pytest.raises(ParseError):
         load_dataset(gp, ep)
+
+
+def _saved_with_line_edit(tmp_path, lineno, **fields):
+    """Save a 2-instance dataset, then overwrite fields of one JSONL line."""
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    save_dataset(make_dataset(n=2), gp, ep)
+    lines = gp.read_text().splitlines()
+    record = json.loads(lines[lineno - 1])
+    record.update(fields)
+    lines[lineno - 1] = json.dumps(record)  # writes NaN/Infinity for non-finite floats
+    gp.write_text("\n".join(lines) + "\n")
+    return gp, ep
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_node_features_name_path_and_line(tmp_path, value):
+    gp, ep = _saved_with_line_edit(
+        tmp_path, 3, node_features=[[0.0, 1.0], [value, 0.0], [1.0, 1.0]]
+    )
+    with pytest.raises(ParseError) as exc:
+        load_dataset(gp, ep)
+    assert f"{gp}:3:" in str(exc.value) and "non-finite" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("text_index", float("inf")), ("num_nodes", float("inf")), ("edge_features", 5)],
+)
+def test_unconvertible_field_values_are_parse_errors(tmp_path, field, value):
+    gp, ep = _saved_with_line_edit(tmp_path, 2, **{field: value})
+    with pytest.raises(ParseError) as exc:
+        load_dataset(gp, ep)
+    assert f"{gp}:2:" in str(exc.value)
+
+
+def test_class_count_is_capped(tmp_path):
+    gp, ep = _saved_with_line_edit(tmp_path, 1, classes=MAX_CLASSES + 1)
+    with pytest.raises(ValidationError) as exc:
+        load_dataset(gp, ep)
+    assert str(gp) in str(exc.value) and "class count" in str(exc.value)
+
+
+def test_non_finite_embedding_row_names_path_and_row(tmp_path):
+    table = np.ones((3, 2))
+    table[2, 1] = np.inf
+    path = tmp_path / "t.emb"
+    save_embeddings(table, path)
+    with pytest.raises(ParseError) as exc:
+        load_embeddings(path)
+    assert str(path) in str(exc.value) and "row 2" in str(exc.value)
 
 
 def test_embedding_roundtrip_is_exact_float32(tmp_path):
@@ -218,7 +269,7 @@ def test_validate_graph_collects_all_violations():
 def test_exhaustive_batch_is_the_union():
     a = make_dataset(domain="a", n=10, seed=0)
     b = make_dataset(domain="b", n=10, seed=1)
-    batch = sample_minibatch([a, b], 20, np.random.default_rng(5))
+    batch = next(iterate_epochs([a, b], 20, 1, np.random.default_rng(5)))
     assert len(batch) == 20
     assert batch.active_domains == ("a", "b")
     seen = Counter((ds.domain, idx) for ds, idx in batch.items)
@@ -229,14 +280,14 @@ def test_exhaustive_batch_is_the_union():
 def test_batch_size_one_single_domain():
     a = make_dataset(domain="a", n=4)
     b = make_dataset(domain="b", n=4)
-    batch = sample_minibatch([a, b], 1, np.random.default_rng(0))
+    batch = next(iterate_epochs([a, b], 1, 1, np.random.default_rng(0)))
     assert len(batch.active_domains) == 1
 
 
 def test_same_seed_same_batch():
     a = make_dataset(domain="a", n=8)
-    b1 = sample_minibatch([a], 3, np.random.default_rng(42))
-    b2 = sample_minibatch([a], 3, np.random.default_rng(42))
+    b1 = next(iterate_epochs([a], 3, 1, np.random.default_rng(42)))
+    b2 = next(iterate_epochs([a], 3, 1, np.random.default_rng(42)))
     assert [(ds.domain, i) for ds, i in b1.items] == [(ds.domain, i) for ds, i in b2.items]
 
 
@@ -267,7 +318,7 @@ def test_epoch_reshuffle_differs_but_run_repeats():
 def test_empty_union_raises():
     a = make_dataset(domain="a", n=2, train=[])
     with pytest.raises(EmptyDataError):
-        sample_minibatch([a], 1, np.random.default_rng(0))
+        next(iterate_epochs([a], 1, 1, np.random.default_rng(0)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from uglm.errors import ContractError, DegenerateInputError, EmptyDataError
+from uglm.errors import ContractError, DegenerateInputError, DimensionError, EmptyDataError
 from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits
 from uglm.numcore import ParamSet, finite_difference_gradient, max_relative_error
 from uglm.persist import param_fingerprint
@@ -358,3 +358,9 @@ def test_retrieval_pool_too_large():
         evaluate_retrieval(
             result.encoder, datasets[0], held + 1, np.random.default_rng(0), result.adapter
         )
+
+
+def test_adapter_rejects_text_rows_of_another_width():
+    adapter = TextAdapter.initialize(3, 4, np.random.default_rng(0))
+    with pytest.raises(DimensionError):
+        adapter.apply(np.ones((2, 5)))

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import datasets_equal
+
 from uglm.encoder import MultiScaleEncoder, task_representation
 from uglm.errors import InvalidParameterError
-from uglm.graphdata import datasets_equal, load_dataset
+from uglm.graphdata import load_dataset
 from uglm.pretrain import DomainWeights, TextAdapter, dr_clip_loss
 from uglm.synthgen import (
     DEFAULT_MASTER_SEED,
