@@ -151,6 +151,17 @@ def _loss_from_representation(
     return LossCache(x_star=x_star, probs=probs, label=label, domain=domain, loss=loss)
 
 
+def _check_scorable(inst: GraphInstance, head: FrozenHead) -> None:
+    """The instance has a label that the frozen head can score."""
+    if inst.label is None:
+        raise ContractError(f"instance in domain {inst.domain!r} has no label")
+    if inst.domain not in head.instructions:
+        raise ContractError(f"frozen head has no domain {inst.domain!r}")
+    k = head.label_embeddings[inst.domain].shape[0]
+    if not (0 <= inst.label < k):
+        raise ContractError(f"label {inst.label} out of range for {k} candidates")
+
+
 def instance_loss(
     inst: GraphInstance,
     encoder: MultiScaleEncoder,
@@ -159,13 +170,7 @@ def instance_loss(
     task: str | None = None,
 ) -> tuple[float, LossCache]:
     """Cross-entropy of the frozen head over candidate labels."""
-    if inst.label is None:
-        raise ContractError(f"instance in domain {inst.domain!r} has no label")
-    if inst.domain not in head.instructions:
-        raise ContractError(f"frozen head has no domain {inst.domain!r}")
-    k = head.label_embeddings[inst.domain].shape[0]
-    if not (0 <= inst.label < k):
-        raise ContractError(f"label {inst.label} out of range for {k} candidates")
+    _check_scorable(inst, head)
     x_star, _ = task_representation(inst, encoder, task)
     cache = _loss_from_representation(x_star, inst.domain, inst.label, proj, head)
     return cache.loss, cache
@@ -189,20 +194,42 @@ def projector_grad(cache: LossCache, proj: Projector, head: FrozenHead) -> Param
 # ------------------------------------------------------- per-domain losses
 
 
+class FrozenRepresentations:
+    """Task representations of a frozen encoder, each computed once.
+
+    Keyed by batch item (dataset, instance index). A stored row is what
+    ``task_representation`` returned for that item, so it stays exact only
+    while the encoder's parameters do not change: build one per run.
+    """
+
+    def __init__(self, encoder: MultiScaleEncoder) -> None:
+        self.encoder = encoder
+        self._rows: dict[tuple[DomainDataset, int], np.ndarray] = {}
+
+    def get(self, dataset: DomainDataset, index: int) -> np.ndarray:
+        key = (dataset, index)
+        row = self._rows.get(key)
+        if row is None:
+            row, _ = task_representation(dataset.instances[index], self.encoder, dataset.task)
+            self._rows[key] = row
+        return row
+
+
 def domain_losses(
     batch: Batch,
-    encoder: MultiScaleEncoder,
+    reps: FrozenRepresentations,
     proj: Projector,
     head: FrozenHead,
 ) -> tuple[dict[str, float], dict[str, list[LossCache]]]:
     """Mean instance loss per domain present in the batch, and the caches
     of each domain's instances in batch order."""
-    pairs = batch.instances()
-    caches = ordered_map(
-        lambda pair: instance_loss(pair[1], encoder, proj, head, pair[0].task)[1], pairs
-    )
     by_domain: dict[str, list[LossCache]] = {}
-    for cache in caches:
+    for dataset, index in batch.items:
+        inst = dataset.instances[index]
+        _check_scorable(inst, head)
+        cache = _loss_from_representation(
+            reps.get(dataset, index), inst.domain, inst.label, proj, head
+        )
         by_domain.setdefault(cache.domain, []).append(cache)
     losses = {
         domain: float(np.mean([c.loss for c in group]))
@@ -366,11 +393,11 @@ def align_step(
     batch: Batch,
     state: AlignState,
     config: AlignConfig,
-    encoder: MultiScaleEncoder,
+    reps: FrozenRepresentations,
     head: FrozenHead,
 ) -> AlignState:
     """One curriculum step: losses, difficulties, weights, update on theta."""
-    losses, caches = domain_losses(batch, encoder, state.projector, head)
+    losses, caches = domain_losses(batch, reps, state.projector, head)
     grad_vectors = {
         domain: domain_mean_gradient(group, state.projector, head)
         for domain, group in sorted(caches.items())
@@ -442,8 +469,9 @@ def align_loop(
         iterate_epochs(datasets, config.batch_size, epochs, np.random.default_rng(seeds[1])),
         config.total_steps,
     )
+    reps = FrozenRepresentations(encoder)
     for batch in batches:
-        state = align_step(batch, state, config, encoder, head)
+        state = align_step(batch, state, config, reps, head)
     return state, head
 
 

@@ -217,7 +217,19 @@ def _cmd_eval(args) -> int:
     else:
         if args.projector is None:
             raise _UsageError("eval: error: --projector is required for classification mode")
-        projector, head = _from_checkpoint(projector_from_checkpoint, args.projector)
+        fingerprint = param_fingerprint(encoder.params)
+
+        def trained_on_encoder(ckpt):
+            projector, head = projector_from_checkpoint(ckpt)
+            stored = ckpt.metadata.get("encoder_fingerprint")
+            if stored != fingerprint:
+                raise ContractError(
+                    f"projector was trained on the encoder with fingerprint {stored!r}, "
+                    f"but {args.encoder} has fingerprint {fingerprint!r}"
+                )
+            return projector, head
+
+        projector, head = _from_checkpoint(trained_on_encoder, args.projector)
         if projector.weight.shape[0] != encoder.hidden_dim:
             raise ContractError(
                 f"{args.projector}: projector input dim {projector.weight.shape[0]} does not "

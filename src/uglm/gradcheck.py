@@ -15,6 +15,7 @@ import numpy as np
 
 from .align import (
     FrozenHead,
+    FrozenRepresentations,
     Projector,
     domain_losses,
     domain_mean_gradient,
@@ -228,13 +229,14 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
         w_fixed = {"a": float(rng.uniform(0.2, 0.8))}
         w_fixed["b"] = 1.0 - w_fixed["a"]
 
-        _, groups = domain_losses(batch, enc, proj, head)
+        reps = FrozenRepresentations(enc)  # only the projector is perturbed below
+        _, groups = domain_losses(batch, reps, proj, head)
         analytic = proj.params().zeros_like()
         for name in sorted(groups):
             analytic = analytic + w_fixed[name] * domain_mean_gradient(groups[name], proj, head)
 
         def objective(ps):
-            losses, _ = domain_losses(batch, enc, proj.with_params(ps), head)
+            losses, _ = domain_losses(batch, reps, proj.with_params(ps), head)
             return sum(w_fixed[name] * losses[name] for name in losses)
 
         numeric = finite_difference_gradient(objective, proj.params())

@@ -169,32 +169,36 @@ def validate_graph(
     return violations
 
 
-def _validate_dataset(ds: DomainDataset) -> None:
+def _validate_dataset(ds: DomainDataset, path) -> None:
+    """Errors name ``path:line``: the header is line 1, instance i is line i + 2."""
     n_texts = ds.text_embeddings.shape[0]
     if ds.task not in TASK_KINDS:
-        raise ValidationError(f"unknown task kind {ds.task!r}")
+        raise ValidationError(f"{path}:1: unknown task kind {ds.task!r}")
     if not 1 <= ds.num_classes <= MAX_CLASSES:
-        raise ValidationError(f"class count must lie in [1,{MAX_CLASSES}], got {ds.num_classes}")
+        raise ValidationError(
+            f"{path}:1: class count must lie in [1,{MAX_CLASSES}], got {ds.num_classes}"
+        )
     feature_dim: int | None = None
     for i, inst in enumerate(ds.instances):
+        where = f"{path}:{i + 2}"
         if inst.domain != ds.domain:
             raise ValidationError(
-                f"instance {i} field domain: {inst.domain!r} != dataset domain {ds.domain!r}"
+                f"{where}: field domain: {inst.domain!r} != dataset domain {ds.domain!r}"
             )
         if target_kind(inst.target) != ds.task:
             raise ValidationError(
-                f"instance {i} field target: kind {target_kind(inst.target)!r} "
+                f"{where}: field target: kind {target_kind(inst.target)!r} "
                 f"does not match dataset task {ds.task!r}"
             )
         problems = validate_graph(inst, num_classes=ds.num_classes, num_texts=n_texts)
         if problems:
-            raise ValidationError(f"instance {i}: " + "; ".join(problems))
+            raise ValidationError(f"{where}: " + "; ".join(problems))
         d_in = int(inst.node_features.shape[1])
         if feature_dim is None:
             feature_dim = d_in
         elif d_in != feature_dim:
             raise ValidationError(
-                f"instance {i} field node_features: dim {d_in} != domain dim {feature_dim}"
+                f"{where}: field node_features: dim {d_in} != domain dim {feature_dim}"
             )
     n = len(ds.instances)
     seen: set[int] = set()
@@ -202,9 +206,11 @@ def _validate_dataset(ds: DomainDataset) -> None:
         indices = getattr(ds.splits, split_name)
         for idx in indices:
             if not (0 <= idx < n):
-                raise ValidationError(f"split {split_name}: index {idx} not in [0,{n})")
+                raise ValidationError(f"{path}:1: split {split_name}: index {idx} not in [0,{n})")
             if idx in seen:
-                raise ValidationError(f"split {split_name}: index {idx} appears in two splits")
+                raise ValidationError(
+                    f"{path}:1: split {split_name}: index {idx} appears in two splits"
+                )
             seen.add(idx)
 
 
@@ -392,10 +398,7 @@ def load_dataset(graph_path, embedding_path) -> DomainDataset:
         text_embeddings=embeddings,
         splits=splits,
     )
-    try:
-        _validate_dataset(ds)
-    except ValidationError as exc:
-        raise ValidationError(f"{graph_path}: {exc}") from exc
+    _validate_dataset(ds, graph_path)
     return ds
 
 

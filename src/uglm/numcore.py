@@ -235,16 +235,3 @@ def finite_difference_gradient(
             gflat[idx] = (hi - lo) / (2.0 * eps)
         grads[name] = g
     return ParamSet(grads)
-
-
-def max_relative_error(a: ParamSet, b: ParamSet) -> float:
-    """max |a-b| / max(|a|, |b|, 1e-8) over all matching entries."""
-    assert_same_shapes(a, b)
-    worst = 0.0
-    for name, av in a.items():
-        bv = b[name]
-        denom = np.maximum(np.maximum(np.abs(av), np.abs(bv)), 1e-8)
-        err = np.abs(av - bv) / denom
-        if err.size:
-            worst = max(worst, float(err.max()))
-    return worst

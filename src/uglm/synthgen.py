@@ -33,7 +33,6 @@ from .graphdata import (
     TASK_KINDS,
     save_dataset,
 )
-from .numcore import row_cosine_similarity
 
 
 @dataclass
@@ -162,27 +161,6 @@ def generate_domain(spec: DomainSpec) -> tuple[DomainDataset, np.ndarray]:
         splits=splits,
     )
     return dataset, embeddings
-
-
-def planted_class(ds: DomainDataset, index: int) -> int:
-    """True class of a generated instance (round-robin construction)."""
-    return index % ds.num_classes
-
-
-def text_cosine_margin(ds: DomainDataset) -> float:
-    """Mean same-class minus mean cross-class cosine over text embeddings.
-
-    Uses planted classes, not (possibly noise-flipped) labels; collapses
-    toward zero as the generating text noise grows.
-    """
-    n = ds.text_embeddings.shape[0]
-    labels = np.array([planted_class(ds, i) for i in range(n)])
-    cos = row_cosine_similarity(ds.text_embeddings, ds.text_embeddings)
-    same = labels[:, None] == labels[None, :]
-    off_diag = ~np.eye(n, dtype=bool)
-    pos = cos[same & off_diag]
-    neg = cos[~same]
-    return float(pos.mean() - neg.mean())
 
 
 # ------------------------------------------------------------ fixed suite

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles shared by test modules.
+"""Independent brute-force oracles and helpers shared by test modules.
 
 The loss oracles are direct per-pair transcriptions of the losses they
 check and deliberately share no code with the production implementations.
@@ -7,6 +7,9 @@ check and deliberately share no code with the production implementations.
 import math
 
 import numpy as np
+
+from uglm.encoder import task_representation
+from uglm.numcore import assert_same_shapes, row_cosine_similarity
 
 
 def brute_force_dr_clip(x, t, ids, w_graph, w_text, index, tau):
@@ -67,3 +70,50 @@ def datasets_equal(a, b):
         if x.edge_features is not None and not np.array_equal(x.edge_features, y.edge_features):
             return False
     return True
+
+
+def max_relative_error(a, b):
+    """max |a-b| / max(|a|, |b|, 1e-8) over all matching entries of two ParamSets."""
+    assert_same_shapes(a, b)
+    worst = 0.0
+    for name, av in a.items():
+        bv = b[name]
+        denom = np.maximum(np.maximum(np.abs(av), np.abs(bv)), 1e-8)
+        err = np.abs(av - bv) / denom
+        if err.size:
+            worst = max(worst, float(err.max()))
+    return worst
+
+
+def planted_class(ds, index):
+    """True class of a generated instance (synthgen assigns classes round-robin)."""
+    return index % ds.num_classes
+
+
+def text_cosine_margin(ds):
+    """Mean same-class minus mean cross-class cosine over text embeddings.
+
+    Uses planted classes, not (possibly noise-flipped) labels; collapses
+    toward zero as the generating text noise grows.
+    """
+    n = ds.text_embeddings.shape[0]
+    labels = np.array([planted_class(ds, i) for i in range(n)])
+    cos = row_cosine_similarity(ds.text_embeddings, ds.text_embeddings)
+    same = labels[:, None] == labels[None, :]
+    off_diag = ~np.eye(n, dtype=bool)
+    pos = cos[same & off_diag]
+    neg = cos[~same]
+    return float(pos.mean() - neg.mean())
+
+
+class ReencodedRepresentations:
+    """Slow stand-in for ``uglm.align.FrozenRepresentations``: it encodes the
+    batch item again on every call, as Stage II did before it memoized the
+    frozen encoder's representations."""
+
+    def __init__(self, encoder):
+        self.encoder = encoder
+
+    def get(self, dataset, index):
+        x_star, _ = task_representation(dataset.instances[index], self.encoder, dataset.task)
+        return x_star

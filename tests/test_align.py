@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import ReencodedRepresentations, max_relative_error
 from uglm.align import (
     AlignConfig,
     AlignState,
     DifficultyTracker,
     FrozenHead,
+    FrozenRepresentations,
     Projector,
     align_loop,
     align_step,
@@ -22,14 +24,10 @@ from uglm.align import (
     projector_grad,
     update_difficulty,
 )
-from uglm.encoder import MultiScaleEncoder
+from uglm.encoder import MultiScaleEncoder, task_representation
 from uglm.errors import ContractError
 from uglm.graphdata import Batch
-from uglm.numcore import (
-    OptimizerState,
-    finite_difference_gradient,
-    max_relative_error,
-)
+from uglm.numcore import OptimizerState, finite_difference_gradient
 from uglm.persist import export_metrics, param_fingerprint
 from uglm.synthgen import DomainSpec, generate_domain
 
@@ -131,7 +129,7 @@ def test_domain_batch_losses_are_within_domain_means():
         items=[(ds_a, 0), (ds_a, 1), (ds_b, 2)],
         active_domains=("a", "b"),
     )
-    losses, _ = domain_losses(batch, enc, proj, head)
+    losses, _ = domain_losses(batch, FrozenRepresentations(enc), proj, head)
     assert set(losses) == {"a", "b"}
     la0 = instance_loss(ds_a.instances[0], enc, proj, head)[0]
     la1 = instance_loss(ds_a.instances[1], enc, proj, head)[0]
@@ -293,8 +291,9 @@ def test_identical_twin_domains_get_half_weight_every_step():
         optimizer=OptimizerState(config.learning_rate),
         tracker=DifficultyTracker.create(5, config.warmup_ratio, config.momentum),
     )
+    reps = FrozenRepresentations(enc)
     for _ in range(5):
-        state = align_step(batch, state, config, enc, head)
+        state = align_step(batch, state, config, reps, head)
     for row in state.metrics:
         assert row.weight == 0.5
 
@@ -312,8 +311,9 @@ def test_equal_difficulty_update_matches_uniform_weighting_bitwise():
             optimizer=OptimizerState(config.learning_rate),
             tracker=DifficultyTracker.create(4, config.warmup_ratio, config.momentum),
         )
+        reps = FrozenRepresentations(enc)
         for _ in range(4):
-            state = align_step(batch, state, config, enc, head)
+            state = align_step(batch, state, config, reps, head)
         return param_fingerprint(state.projector.params())
 
     assert run("curriculum") == run("uniform")
@@ -335,7 +335,7 @@ def test_huge_temperature_behaves_as_uniform():
         optimizer=OptimizerState(config.learning_rate),
         tracker=DifficultyTracker.create(1, config.warmup_ratio, config.momentum),
     )
-    state = align_step(batch, state, config, enc, head)
+    state = align_step(batch, state, config, FrozenRepresentations(enc), head)
     losses = {row.domain: row.loss for row in state.metrics}
     weighted = sum(row.weight * row.loss for row in state.metrics)
     assert abs(weighted - np.mean(list(losses.values()))) <= 1e-6
@@ -361,14 +361,15 @@ def test_weighted_objective_gradient_matches_finite_differences():
     head = FrozenHead.build(52, {"a": 3, "b": 3}, 2, 4)
     batch = Batch(items=[(ds_a, 0), (ds_a, 3), (ds_b, 1)], active_domains=("a", "b"))
     fixed_weights = {"a": 0.7, "b": 0.3}
+    reps = FrozenRepresentations(enc)
 
     def objective(ps):
         p2 = proj.with_params(ps)
-        losses, _ = domain_losses(batch, enc, p2, head)
+        losses, _ = domain_losses(batch, reps, p2, head)
         return sum(fixed_weights[d] * losses[d] for d in losses)
 
     numeric = finite_difference_gradient(objective, proj.params())
-    _, groups = domain_losses(batch, enc, proj, head)
+    _, groups = domain_losses(batch, reps, proj, head)
     analytic = proj.params().zeros_like()
     for domain, group in sorted(groups.items()):
         analytic = analytic + fixed_weights[domain] * domain_mean_gradient(group, proj, head)
@@ -419,6 +420,67 @@ def test_metrics_log_one_row_per_active_domain():
     for domains in by_step.values():
         assert domains == sorted(domains)
         assert domains == ["a", "b"]
+
+
+def mixed_task_domains(tasks):
+    """Two domains with different task granularities, 10 training graphs each."""
+    return [
+        synth_domain(name=f"{task}_dom", task=task, classes=3, n=20, seed=20 + i)
+        for i, task in enumerate(tasks)
+    ]
+
+
+MIXED_TASK_PAIRS = [("node", "edge"), ("edge", "graph"), ("graph", "node")]
+
+
+@pytest.mark.parametrize("weighting", ["curriculum", "uniform"])
+@pytest.mark.parametrize("tasks", MIXED_TASK_PAIRS)
+def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, weighting):
+    datasets = mixed_task_domains(tasks)
+    enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(40))
+    # 12 steps of 8 over 20 training graphs: each graph is drawn about 5 times
+    config = AlignConfig(total_steps=12, batch_size=8, seed=41, token_dim=8, weighting=weighting)
+    memoized, _ = align_loop(config, datasets, enc)
+    monkeypatch.setattr("uglm.align.FrozenRepresentations", ReencodedRepresentations)
+    reference, _ = align_loop(config, datasets, enc)
+    assert param_fingerprint(memoized.projector.params()) == param_fingerprint(
+        reference.projector.params()
+    )
+    assert [r.as_tuple() for r in memoized.metrics] == [r.as_tuple() for r in reference.metrics]
+
+
+@pytest.mark.parametrize("tasks", MIXED_TASK_PAIRS)
+def test_each_training_graph_encoded_at_most_once_per_run(monkeypatch, tasks):
+    datasets = mixed_task_domains(tasks)
+    enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(42))
+    encoded: list[int] = []
+
+    def counting(inst, *args, **kwargs):
+        encoded.append(id(inst))
+        return task_representation(inst, *args, **kwargs)
+
+    monkeypatch.setattr("uglm.align.task_representation", counting)
+    # 12 steps of 8 draw every one of the 20 training graphs, most of them 4-5 times
+    config = AlignConfig(total_steps=12, batch_size=8, seed=43, token_dim=8)
+    for _ in range(2):  # a second run encodes again: nothing outlives a run
+        encoded.clear()
+        align_loop(config, datasets, enc)
+        train = {id(ds.instances[i]) for ds in datasets for i in ds.splits.train}
+        assert len(encoded) == len(set(encoded)) == len(train)
+        assert set(encoded) == train
+
+
+def test_instance_checks_run_on_memoized_items():
+    ds, enc, proj, head = small_setup()
+    reps = FrozenRepresentations(enc)
+    batch = Batch(items=[(ds, 0), (ds, 1)], active_domains=(ds.domain,))
+    domain_losses(batch, reps, proj, head)
+    ds.instances[1].label = 3
+    with pytest.raises(ContractError, match="label 3 out of range for 3 candidates"):
+        domain_losses(batch, reps, proj, head)
+    ds.instances[1].label = None
+    with pytest.raises(ContractError, match="has no label"):
+        domain_losses(batch, reps, proj, head)
 
 
 # --------------------------------------------------------------- evaluation

@@ -215,6 +215,38 @@ def test_projector_encoder_width_mismatch_exits_1(pipeline, adapter_encoder, sui
     assert str(pipeline["projector"]) in capsys.readouterr().err
 
 
+def test_projector_from_another_encoder_exits_1(
+    pipeline, config_path, suite_dir, tmp_path, capsys
+):
+    other = tmp_path / "other_encoder.ckpt"
+    assert main([
+        "pretrain", "--config", str(config_path), "--data", str(suite_dir),
+        "--out", str(other), "--set", "pretrain.seed=1",
+    ]) == 0
+    capsys.readouterr()
+    rc = main([
+        "eval", "--encoder", str(other), "--projector", str(pipeline["projector"]),
+        "--data", str(suite_dir), "--mode", "classification",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(pipeline["projector"]) in err and str(other) in err and "fingerprint" in err
+
+
+def test_projector_without_encoder_fingerprint_exits_1(pipeline, suite_dir, tmp_path, capsys):
+    ckpt = load_checkpoint(pipeline["projector"])
+    del ckpt.metadata["encoder_fingerprint"]
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(ckpt, bare)
+    rc = main([
+        "eval", "--encoder", str(pipeline["encoder"]), "--projector", str(bare),
+        "--data", str(suite_dir), "--mode", "classification",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(bare) in err and str(pipeline["encoder"]) in err and "fingerprint" in err
+
+
 def test_resolved_config_echo_and_override_precedence(config_path, suite_dir, tmp_path, capsys):
     rc = main([
         "pretrain", "--config", str(config_path), "--data", str(suite_dir),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import max_relative_error
 from uglm.encoder import (
     MultiScaleEncoder,
     encode_node_graph,
@@ -9,7 +10,7 @@ from uglm.encoder import (
 )
 from uglm.errors import ContractError, DimensionError
 from uglm.graphdata import EdgeTarget, GraphInstance, GraphTarget, NodeTarget
-from uglm.numcore import ParamSet, finite_difference_gradient, max_relative_error
+from uglm.numcore import ParamSet, finite_difference_gradient
 
 
 def manual_encoder(w_self, w_neigh, bias, heads_value=1.0):

@@ -203,7 +203,7 @@ def test_out_of_range_edge_is_validation_error(tmp_path):
     with pytest.raises(ValidationError) as exc:
         load_dataset(gp, ep)
     msg = str(exc.value)
-    assert "instance 1" in msg and "(0,5)" in msg
+    assert f"{gp}:3:" in msg and "(0,5)" in msg
 
 
 def test_text_index_beyond_table_is_validation_error(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import max_relative_error
 from uglm.errors import (
     DegenerateInputError,
     DimensionError,
@@ -14,7 +15,6 @@ from uglm.numcore import (
     OptimizerState,
     ParamSet,
     finite_difference_gradient,
-    max_relative_error,
     optimizer_step,
     row_cosine_similarity,
     softmax_with_temperature,

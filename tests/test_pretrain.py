@@ -5,7 +5,7 @@ import pytest
 
 from uglm.errors import ContractError, DegenerateInputError, DimensionError, EmptyDataError
 from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits
-from uglm.numcore import ParamSet, finite_difference_gradient, max_relative_error
+from uglm.numcore import ParamSet, finite_difference_gradient
 from uglm.persist import param_fingerprint
 from uglm.pretrain import (
     DomainCenters,
@@ -172,7 +172,7 @@ def test_weight_properties_on_random_centers():
 # ----------------------------------------------------------------- DR-CLIP
 
 
-from oracles import brute_force_dr_clip, brute_force_infonce  # noqa: E402
+from oracles import brute_force_dr_clip, brute_force_infonce, max_relative_error  # noqa: E402
 
 
 def test_single_pair_batch_loss_zero():

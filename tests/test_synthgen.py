@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import datasets_equal
+from oracles import datasets_equal, planted_class, text_cosine_margin
 
 from uglm.encoder import MultiScaleEncoder, task_representation
 from uglm.errors import InvalidParameterError
@@ -16,9 +16,7 @@ from uglm.synthgen import (
     SUITE_LAYOUT,
     generate_benchmark_suite,
     generate_domain,
-    planted_class,
     suite_spec,
-    text_cosine_margin,
 )
 
 
