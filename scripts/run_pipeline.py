@@ -4,9 +4,14 @@
 Runs synth -> gradcheck -> pretrain -> align -> eval (both modes) ->
 report through the CLI, leaving every artifact under --out. Uses the
 desk-scale config shipped in configs/desk.json unless --config is given.
+The last line is a JSON object with the SHA-256 of both checkpoints and
+both training CSVs, so a float-exact change can be checked by comparing
+it with the line its parent commit prints for the same seed.
 """
 
 import argparse
+import hashlib
+import json
 import pathlib
 import sys
 
@@ -56,6 +61,11 @@ def main() -> None:
     ])
     run(["report", "--metrics", str(metrics), "--out", str(out / "report")])
     print(f"\nartifacts under {out}/")
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (encoder, projector, metrics, out / "pretrain_loss.csv")
+    }
+    print(json.dumps({"sha256": digests}))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ gradient flows through the difficulty estimates.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 
 import numpy as np
@@ -63,12 +63,7 @@ class Projector:
         return ParamSet({"projector.weight": self.weight, "projector.bias": self.bias})
 
     def with_params(self, ps: ParamSet) -> "Projector":
-        return Projector(
-            weight=ps["projector.weight"],
-            bias=ps["projector.bias"],
-            num_tokens=self.num_tokens,
-            token_dim=self.token_dim,
-        )
+        return replace(self, weight=ps["projector.weight"], bias=ps["projector.bias"])
 
 
 # --------------------------------------------------------------- frozen head
@@ -176,21 +171,6 @@ def instance_loss(
     return cache.loss, cache
 
 
-def projector_grad(cache: LossCache, proj: Projector, head: FrozenHead) -> ParamSet:
-    """Gradient of one instance's loss w.r.t. the projector parameters."""
-    d_logits = cache.probs.copy()
-    d_logits[cache.label] -= 1.0
-    d_query = head.label_embeddings[cache.domain].T @ d_logits
-    d_z = head.mixing @ d_query
-    d_tokens = d_z[: proj.num_tokens * proj.token_dim]
-    return ParamSet(
-        {
-            "projector.weight": np.outer(cache.x_star, d_tokens),
-            "projector.bias": d_tokens,
-        }
-    )
-
-
 # ------------------------------------------------------- per-domain losses
 
 
@@ -245,9 +225,15 @@ def domain_mean_gradient(
     if not caches:
         raise ContractError("cannot take a gradient over an empty domain group")
     total = proj.params().zeros_like()
+    d_weight, d_bias = total["projector.weight"], total["projector.bias"]
     for cache in caches:  # fixed order: deterministic reduction
-        total = total + projector_grad(cache, proj, head)
-    return total * (1.0 / len(caches))
+        d_logits = cache.probs.copy()
+        d_logits[cache.label] -= 1.0
+        d_query = head.label_embeddings[cache.domain].T @ d_logits
+        d_tokens = (head.mixing @ d_query)[: d_bias.size]
+        d_weight += np.outer(cache.x_star, d_tokens)
+        d_bias += d_tokens
+    return total.with_flat(total.flat * (1.0 / len(caches)))
 
 
 # ---------------------------------------------------------- difficulty/EMA
@@ -410,12 +396,11 @@ def align_step(
     else:
         weights = {d: 1.0 / len(losses) for d in sorted(losses)}
 
-    total_grad = state.projector.params().zeros_like()
+    params = state.projector.params()
+    total = params.zeros_like()
     for domain in sorted(grad_vectors):
-        total_grad = total_grad + weights[domain] * grad_vectors[domain]
-    new_params, state.optimizer = optimizer_step(
-        state.optimizer, state.projector.params(), total_grad
-    )
+        total.flat[:] += weights[domain] * grad_vectors[domain].flat
+    new_params, state.optimizer = optimizer_step(state.optimizer, params, total)
     state.projector = state.projector.with_params(new_params)
     state.step = k
     for domain in sorted(losses):

@@ -185,7 +185,7 @@ def encoder_backward(cache: EncodeCache, upstream: np.ndarray) -> ParamSet:
     """Exact gradients of (upstream . x_star) for every encoder parameter.
 
     ``cache`` must come from a task_representation call; heads not used by
-    the cached task receive zero gradients.
+    the cached task receive zero gradients, written into one zero vector.
     """
     if cache.kind is None or cache.concat is None:
         raise ContractError("cache has no task head; use the cache from task_representation")
@@ -195,10 +195,10 @@ def encoder_backward(cache: EncodeCache, upstream: np.ndarray) -> ParamSet:
     if upstream.shape != (d,):
         raise ContractError(f"upstream gradient must have shape ({d},), got {upstream.shape}")
 
-    grads = {name: np.zeros_like(arr) for name, arr in enc.params.items()}
+    grads = enc.params.zeros_like()
     head = HEAD_NAMES[cache.kind]
-    grads[f"{head}.weight"] = np.outer(cache.concat, upstream)
-    grads[f"{head}.bias"] = upstream.copy()
+    grads[f"{head}.weight"][...] = np.outer(cache.concat, upstream)
+    grads[f"{head}.bias"][...] = upstream
     dz = enc.params[f"{head}.weight"] @ upstream
     d_local, d_graph = dz[:d], dz[d:].copy()
 
@@ -217,12 +217,14 @@ def encoder_backward(cache: EncodeCache, upstream: np.ndarray) -> ParamSet:
     for i in reversed(range(enc.num_layers)):
         trace = cache.layers[i]
         d_pre = d_h if i == enc.num_layers - 1 else d_h * (trace.pre > 0.0)
-        grads[f"layer{i}.self_weight"] += trace.h_in.T @ d_pre
-        grads[f"layer{i}.neigh_weight"] += trace.agg.T @ d_pre
-        grads[f"layer{i}.bias"] += d_pre.sum(axis=0)
+        grads[f"layer{i}.self_weight"][...] += trace.h_in.T @ d_pre
+        grads[f"layer{i}.neigh_weight"][...] += trace.agg.T @ d_pre
+        grads[f"layer{i}.bias"][...] += d_pre.sum(axis=0)
+        if i == 0:
+            break  # the input features need no gradient
         d_h = d_pre @ enc.params[f"layer{i}.self_weight"].T
         d_agg = d_pre @ enc.params[f"layer{i}.neigh_weight"].T
         if cache.src.size:
             np.add.at(d_h, cache.src, d_agg[cache.dst] * cache.inv_deg[cache.dst, None])
 
-    return ParamSet(grads)
+    return grads

@@ -1,5 +1,7 @@
-"""Dense float64 matrix primitives, named parameter sets, the Adam
-optimizer, and a finite-difference gradient oracle.
+"""Dense float64 matrix primitives, parameter sets, the Adam optimizer,
+and a finite-difference gradient oracle. Each trainable group (Stage I's
+encoder plus adapter, Stage II's projector) is one flat float64 vector
+that a ``ParamSet`` names views into; checkpoints store the named tensors.
 
 Everything here is pure: functions never mutate their inputs and identical
 inputs produce bit-identical outputs. All compute is 64-bit so the
@@ -8,8 +10,10 @@ finite-difference checks elsewhere in the package are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+import copy
+import math
+from dataclasses import dataclass
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -80,76 +84,62 @@ def softmax_with_temperature(v, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
 class ParamSet:
-    """Named float64 matrices with a stable iteration order.
+    """Named float64 arrays held as views into one flat vector.
 
-    The insertion order of ``arrays`` is the iteration order; construction
-    copies every array so a ParamSet owns its storage. Arrays returned by
-    indexing are the internal ones and must be treated as read-only.
+    The layout (names and shapes, in insertion order) fixes where each array
+    lives in ``flat``. Building one copies the arrays once into a read-only
+    vector. A view is writable exactly when its vector is, so ``zeros_like``
+    gives a gradient buffer that callers fill through the named views.
     """
 
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
+    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
+        owned = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+        self.layout = tuple((name, arr.shape) for name, arr in owned.items())
+        flat = np.concatenate([np.zeros(0)] + [arr.ravel() for arr in owned.values()])
+        flat.flags.writeable = False
+        self._bind(flat)
 
-    def __post_init__(self) -> None:
-        owned: dict[str, np.ndarray] = {}
-        for name, arr in self.arrays.items():
-            owned[name] = np.array(arr, dtype=np.float64, copy=True)
-        self.arrays = owned
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self._views: dict[str, np.ndarray] = {}
+        start = 0
+        for name, shape in self.layout:
+            stop = start + math.prod(shape)
+            self._views[name] = flat[start:stop].reshape(shape)
+            start = stop
 
-    def names(self) -> list[str]:
-        return list(self.arrays)
-
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self.arrays.items())
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(self.arrays)
+    def with_flat(self, flat: np.ndarray) -> "ParamSet":
+        """The same names and shapes over the float64 ``flat``, which is not copied."""
+        if flat.shape != self.flat.shape:
+            raise DimensionError(f"flat vector {flat.shape} does not fit layout {self.flat.shape}")
+        out = copy.copy(self)
+        out._bind(flat)
+        return out
 
     def zeros_like(self) -> "ParamSet":
-        return ParamSet({k: np.zeros_like(v) for k, v in self.arrays.items()})
+        return self.with_flat(np.zeros(self.flat.size))
 
-    def __add__(self, other: "ParamSet") -> "ParamSet":
-        assert_same_shapes(self, other)
-        return ParamSet({k: v + other.arrays[k] for k, v in self.arrays.items()})
+    def items(self) -> Iterator[tuple[str, np.ndarray]]:
+        return iter(self._views.items())
 
-    def __mul__(self, scale: float) -> "ParamSet":
-        return ParamSet({k: v * scale for k, v in self.arrays.items()})
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
 
-    __rmul__ = __mul__
+    def name_at(self, index: int) -> str:
+        """Name of the parameter that holds entry ``index`` of ``flat``."""
+        for name, view in self._views.items():
+            index -= view.size
+            if index < 0:
+                return name
+        raise IndexError(f"entry is outside a layout of {self.flat.size} entries")
 
     def norm(self) -> float:
-        """L2 norm over all entries of all arrays."""
+        """L2 norm over all entries, summed one named array at a time."""
         total = 0.0
-        for v in self.arrays.values():
+        for v in self._views.values():
             total += float(np.sum(v * v))
         return float(np.sqrt(total))
-
-    @staticmethod
-    def merged(parts: Iterable["ParamSet"]) -> "ParamSet":
-        """Concatenate several ParamSets; duplicate names are an error."""
-        out: dict[str, np.ndarray] = {}
-        for part in parts:
-            for name, arr in part.items():
-                if name in out:
-                    raise InvalidParameterError(f"duplicate parameter name {name!r}")
-                out[name] = arr
-        return ParamSet(out)
-
-
-def assert_same_shapes(params: ParamSet, grads: ParamSet) -> None:
-    if params.names() != grads.names():
-        raise DimensionError(
-            f"parameter names {params.names()} do not match gradient names {grads.names()}"
-        )
-    for name, arr in params.items():
-        if arr.shape != grads[name].shape:
-            raise DimensionError(
-                f"shape mismatch for {name!r}: {arr.shape} vs {grads[name].shape}"
-            )
 
 
 ADAM_BETA1 = 0.9
@@ -159,12 +149,12 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class OptimizerState:
-    """Adam state; moments mirror parameter shapes lazily."""
+    """Adam state; the moments are flat vectors once the first step is taken."""
 
     learning_rate: float
     step: int = 0
-    first_moment: dict[str, np.ndarray] = field(default_factory=dict)
-    second_moment: dict[str, np.ndarray] = field(default_factory=dict)
+    first_moment: np.ndarray | float = 0.0
+    second_moment: np.ndarray | float = 0.0
 
     def __post_init__(self) -> None:
         # zero is allowed as an explicit null update
@@ -180,28 +170,23 @@ def optimizer_step(
     opt: OptimizerState, params: ParamSet, grads: ParamSet
 ) -> tuple[ParamSet, OptimizerState]:
     """One Adam update; returns the new parameters and the advanced state."""
-    assert_same_shapes(params, grads)
+    if params.layout != grads.layout:
+        raise DimensionError(f"gradient layout {grads.layout} is not {params.layout}")
     lr = opt.learning_rate
     t = opt.step + 1
-    m_new: dict[str, np.ndarray] = {}
-    v_new: dict[str, np.ndarray] = {}
-    updated: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        g = grads[name]
-        m_prev = opt.first_moment.get(name, np.zeros_like(p))
-        v_prev = opt.second_moment.get(name, np.zeros_like(p))
-        m = ADAM_BETA1 * m_prev + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v_prev + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        updated[name] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-        m_new[name] = m
-        v_new[name] = v
-    new = ParamSet(updated)
-    for name, arr in new.items():
-        _ensure_finite(arr, f"updated parameter {name!r}")
-    return new, OptimizerState(
-        learning_rate=lr, step=t, first_moment=m_new, second_moment=v_new
+    g = grads.flat
+    m = ADAM_BETA1 * opt.first_moment + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * opt.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    updated = params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    finite = np.isfinite(updated)
+    if not finite.all():
+        name = params.name_at(int(np.argmin(finite)))
+        raise NumericError(f"updated parameter {name!r} contains non-finite entries")
+    updated.flags.writeable = False
+    return params.with_flat(updated), OptimizerState(
+        learning_rate=lr, step=t, first_moment=m, second_moment=v
     )
 
 
@@ -215,23 +200,18 @@ def finite_difference_gradient(
     """
     if eps <= 0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
-    work = params.copy()
-    grads: dict[str, np.ndarray] = {}
-    for name, arr in work.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            hi = float(f(work))
-            flat[idx] = orig - eps
-            lo = float(f(work))
-            flat[idx] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NumericError(
-                    f"function evaluated to a non-finite value while perturbing {name!r}"
-                )
-            gflat[idx] = (hi - lo) / (2.0 * eps)
-        grads[name] = g
-    return ParamSet(grads)
+    work = params.flat.copy()
+    probe = params.with_flat(work)
+    grad = np.zeros_like(work)
+    for idx in range(work.size):
+        orig = work[idx]
+        work[idx] = orig + eps
+        hi = float(f(probe))
+        work[idx] = orig - eps
+        lo = float(f(probe))
+        work[idx] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            name = params.name_at(idx)
+            raise NumericError(f"function evaluated to a non-finite value while perturbing {name!r}")
+        grad[idx] = (hi - lo) / (2.0 * eps)
+    return params.with_flat(grad)

@@ -320,6 +320,16 @@ def _batch_forward(
     return x, caches, t, ids
 
 
+def _stage1_arrays(
+    encoder: MultiScaleEncoder, adapter: TextAdapter | None
+) -> dict[str, np.ndarray]:
+    """The Stage I trainable arrays: the encoder's, then the adapter's."""
+    arrays = dict(encoder.params.items())
+    if adapter is not None:
+        arrays.update(adapter.params().items())
+    return arrays
+
+
 def pretrain_loop(
     config: PretrainConfig,
     datasets: list[DomainDataset],
@@ -336,11 +346,9 @@ def pretrain_loop(
     centers = compute_domain_centers(datasets, config.center_sample_cap, rng=np.random.default_rng(seeds[2]))
     weights = build_domain_weights(centers)
 
-    params = ParamSet.merged(
-        [enc.params] + ([adapter.params()] if adapter is not None else [])
-    )
+    params = ParamSet(_stage1_arrays(enc, adapter))
+    n_enc = enc.params.flat.size
     opt = OptimizerState(config.learning_rate)
-    enc_names = enc.params.names()
 
     epoch_losses: list[float] = []
     batch_rng = np.random.default_rng(seeds[3])
@@ -358,16 +366,13 @@ def pretrain_loop(
             lambda pair: encoder_backward(pair[0], pair[1]),
             list(zip(caches, result.grad_x)),
         )
-        enc_grads = {name: np.zeros_like(params[name]) for name in enc_names}
+        grads = params.zeros_like()
         for g in grads_list:  # deterministic instance-order reduction
-            for name, arr in g.items():
-                enc_grads[name] += arr
-        grads = ParamSet.merged(
-            [ParamSet(enc_grads)]
-            + ([result.grad_adapter] if result.grad_adapter is not None else [])
-        )
+            grads.flat[:n_enc] += g.flat
+        if result.grad_adapter is not None:
+            grads.flat[n_enc:] = result.grad_adapter.flat
         params, opt = optimizer_step(opt, params, grads)
-        enc = enc.with_params(ParamSet({name: params[name] for name in enc_names}))
+        enc = enc.with_params(enc.params.with_flat(params.flat[:n_enc]))
         if adapter is not None:
             adapter = adapter.with_params(params)
 
@@ -397,10 +402,7 @@ def encoder_to_checkpoint(
         "has_adapter": adapter is not None,
         **metadata,
     }
-    tensors = dict(encoder.params.items())
-    if adapter is not None:
-        tensors.update(dict(adapter.params().items()))
-    return Checkpoint(metadata=meta, tensors=tensors)
+    return Checkpoint(metadata=meta, tensors=_stage1_arrays(encoder, adapter))
 
 
 def encoder_from_checkpoint(ckpt: Checkpoint) -> tuple[MultiScaleEncoder, TextAdapter | None]:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from uglm.encoder import task_representation
-from uglm.numcore import assert_same_shapes, row_cosine_similarity
+from uglm.numcore import row_cosine_similarity
 
 
 def brute_force_dr_clip(x, t, ids, w_graph, w_text, index, tau):
@@ -74,15 +74,11 @@ def datasets_equal(a, b):
 
 def max_relative_error(a, b):
     """max |a-b| / max(|a|, |b|, 1e-8) over all matching entries of two ParamSets."""
-    assert_same_shapes(a, b)
-    worst = 0.0
-    for name, av in a.items():
-        bv = b[name]
-        denom = np.maximum(np.maximum(np.abs(av), np.abs(bv)), 1e-8)
-        err = np.abs(av - bv) / denom
-        if err.size:
-            worst = max(worst, float(err.max()))
-    return worst
+    assert a.layout == b.layout, f"layouts differ: {a.layout} vs {b.layout}"
+    av, bv = a.flat, b.flat
+    denom = np.maximum(np.maximum(np.abs(av), np.abs(bv)), 1e-8)
+    err = np.abs(av - bv) / denom
+    return float(err.max()) if err.size else 0.0
 
 
 def planted_class(ds, index):

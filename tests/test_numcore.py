@@ -158,6 +158,16 @@ def test_fd_nonfinite_names_parameter():
     assert "bad" in str(exc.value)
 
 
+def test_fd_nonfinite_names_the_second_parameter():
+    params = ParamSet({"first": np.zeros((2, 2)), "second": np.zeros(3)})
+
+    def f(ps):
+        return float("inf") if ps["second"][1] != 0.0 else float(ps["first"].sum())
+
+    with pytest.raises(NumericError, match="'second'"):
+        finite_difference_gradient(f, params)
+
+
 # --------------------------------------------------------------- optimizers
 
 
@@ -173,22 +183,26 @@ def test_adam_first_step_bias_corrected():
 
 
 def test_adam_matches_reference_implementation():
-    # Oracle: direct transcription of the standard update, kept separate
-    # from the production code path.
+    # Oracle: direct per-name transcription of the standard update, kept
+    # separate from the production code path, over mixed weights and biases.
     rng = np.random.default_rng(7)
-    p = rng.normal(size=(3, 2))
-    params = ParamSet({"w": p})
+    shapes = {"w1": (3, 2), "b1": (2,), "w2": (2, 4), "b2": (4,)}
+    ref = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    params = ParamSet(ref)
     opt = OptimizerState(0.01)
-    m = np.zeros_like(p)
-    v = np.zeros_like(p)
-    ref = p.copy()
-    for t in range(1, 6):
-        g = rng.normal(size=(3, 2))
-        params, opt = optimizer_step(opt, params, ParamSet({"w": g}))
-        m = 0.9 * m + 0.1 * g
-        v = 0.999 * v + 0.001 * g * g
-        ref = ref - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-    assert np.allclose(params["w"], ref, rtol=0.0, atol=1e-14)
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for t in range(1, 61):
+        g = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        params, opt = optimizer_step(opt, params, ParamSet(g))
+        for name in shapes:
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g[name]
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * g[name] * g[name]
+            m_hat = m[name] / (1.0 - 0.9**t)
+            v_hat = v[name] / (1.0 - 0.999**t)
+            ref[name] = ref[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+    for name in shapes:
+        assert np.array_equal(params[name], ref[name])
 
 
 def test_optimizer_shape_mismatch():
@@ -203,7 +217,14 @@ def test_optimizer_is_pure():
     opt = OptimizerState(0.1)
     optimizer_step(opt, params, ParamSet({"p": np.array([[5.0]])}))
     assert params["p"][0, 0] == 1.0
-    assert opt.step == 0 and not opt.first_moment
+    assert opt.step == 0 and opt.first_moment == 0.0 and opt.second_moment == 0.0
+
+
+def test_adam_nonfinite_update_names_the_bad_parameter():
+    params = ParamSet({"first": np.zeros((2, 2)), "second": np.zeros(3)})
+    grads = ParamSet({"first": np.ones((2, 2)), "second": np.array([1.0, np.nan, 1.0])})
+    with pytest.raises(NumericError, match="'second'"):
+        optimizer_step(OptimizerState(0.1), params, grads)
 
 
 def test_invalid_optimizer_parameters():
@@ -223,20 +244,34 @@ def test_zero_learning_rate_is_a_null_update():
 # ----------------------------------------------------------- ParamSet
 
 
-def test_paramset_order_and_arithmetic():
-    ps = ParamSet({"b": np.ones((1, 2)), "a": np.full((2, 1), 3.0)})
-    assert ps.names() == ["b", "a"]
-    doubled = 2.0 * ps
-    assert np.array_equal(doubled["a"], np.full((2, 1), 6.0))
-    total = ps + doubled
-    assert np.array_equal(total["b"], np.full((1, 2), 3.0))
+def test_paramset_views_into_one_flat_vector():
+    b, a = np.ones((1, 2)), np.full((2, 1), 3.0)
+    ps = ParamSet({"b": b, "a": a})
+    assert ps.layout == (("b", (1, 2)), ("a", (2, 1)))
+    # insertion order is layout order, and building copies the arrays
+    assert np.array_equal(ps.flat, [1.0, 1.0, 3.0, 3.0])
+    assert not np.shares_memory(ps.flat, b)
+    for _, view in ps.items():
+        assert np.shares_memory(view, ps.flat)
+        assert not view.flags.writeable
     assert ps.norm() == pytest.approx(math.sqrt(2 * 1.0 + 2 * 9.0))
 
+    vec = np.arange(4.0)
+    rebound = ps.with_flat(vec)
+    assert np.shares_memory(rebound["a"], vec)
+    assert np.array_equal(rebound["a"], [[2.0], [3.0]])
+    assert np.array_equal(ps["a"], a)  # the original keeps its own vector
 
-def test_paramset_merged_rejects_duplicates():
-    a = ParamSet({"x": np.zeros((1, 1))})
-    with pytest.raises(InvalidParameterError):
-        ParamSet.merged([a, a])
+    grads = ps.zeros_like()
+    grads["a"][...] += 1.0  # a gradient buffer is written through its views
+    assert np.array_equal(grads.flat, [0.0, 0.0, 1.0, 1.0])
+
+
+def test_with_flat_rejects_a_vector_of_the_wrong_size():
+    ps = ParamSet({"w": np.zeros((2, 3)), "b": np.zeros(3)})
+    for bad in (np.zeros(8), np.zeros(10), np.zeros((9, 1))):
+        with pytest.raises(DimensionError):
+            ps.with_flat(bad)
 
 
 def test_max_relative_error_denominator_floor():
