@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .encoder import MultiScaleEncoder, task_representation, uniform_init
+from .encoder import MultiScaleEncoder, encode_batch, task_representation, uniform_init
 from .errors import ContractError, InvalidParameterError
 from .graphdata import Batch, DomainDataset, GraphInstance, iterate_epochs
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
@@ -40,10 +40,10 @@ def _derived_rng(*parts) -> np.random.Generator:
 
 @dataclass
 class Projector:
-    """Linear map from encoder space to ``num_tokens`` rows of token space."""
+    """Linear map from encoder space to ``num_tokens`` rows of token space;
+    ``weight`` and ``bias`` are views into ``params``."""
 
-    weight: np.ndarray
-    bias: np.ndarray
+    params: ParamSet
     num_tokens: int
     token_dim: int
 
@@ -52,18 +52,21 @@ class Projector:
         cls, input_dim: int, num_tokens: int, token_dim: int, rng: np.random.Generator
     ) -> "Projector":
         out = num_tokens * token_dim
-        return cls(
-            weight=uniform_init(rng, input_dim, (input_dim, out)),
-            bias=uniform_init(rng, input_dim, (out,)),
-            num_tokens=num_tokens,
-            token_dim=token_dim,
-        )
+        weight = uniform_init(rng, input_dim, (input_dim, out))
+        bias = uniform_init(rng, input_dim, (out,))
+        arrays = {"projector.weight": weight, "projector.bias": bias}
+        return cls(ParamSet(arrays), num_tokens, token_dim)
 
-    def params(self) -> ParamSet:
-        return ParamSet({"projector.weight": self.weight, "projector.bias": self.bias})
+    @property
+    def weight(self) -> np.ndarray:
+        return self.params["projector.weight"]
+
+    @property
+    def bias(self) -> np.ndarray:
+        return self.params["projector.bias"]
 
     def with_params(self, ps: ParamSet) -> "Projector":
-        return replace(self, weight=ps["projector.weight"], bias=ps["projector.bias"])
+        return replace(self, params=ps)
 
 
 # --------------------------------------------------------------- frozen head
@@ -102,13 +105,7 @@ class FrozenHead:
             instructions[domain] = instr / np.linalg.norm(instr)
             emb = rng.standard_normal((k, token_dim))
             labels[domain] = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-        return cls(
-            num_tokens=num_tokens,
-            token_dim=token_dim,
-            mixing=mixing,
-            instructions=instructions,
-            label_embeddings=labels,
-        )
+        return cls(num_tokens, token_dim, mixing, instructions, labels)
 
     def params(self) -> ParamSet:
         arrays = {"frozen_head.mixing": self.mixing}
@@ -224,7 +221,7 @@ def domain_mean_gradient(
     """Projector gradient of the domain's mean loss."""
     if not caches:
         raise ContractError("cannot take a gradient over an empty domain group")
-    total = proj.params().zeros_like()
+    total = proj.params.zeros_like()
     d_weight, d_bias = total["projector.weight"], total["projector.bias"]
     for cache in caches:  # fixed order: deterministic reduction
         d_logits = cache.probs.copy()
@@ -233,7 +230,8 @@ def domain_mean_gradient(
         d_tokens = (head.mixing @ d_query)[: d_bias.size]
         d_weight += np.outer(cache.x_star, d_tokens)
         d_bias += d_tokens
-    return total.with_flat(total.flat * (1.0 / len(caches)))
+    total.flat *= 1.0 / len(caches)
+    return total
 
 
 # ---------------------------------------------------------- difficulty/EMA
@@ -293,15 +291,7 @@ def update_difficulty(
             smoothed[domain] = new_mean
         else:
             smoothed[domain] = tracker.momentum * smoothed[domain] + (1.0 - tracker.momentum) * g
-    return DifficultyTracker(
-        total_steps=tracker.total_steps,
-        warmup_steps=tracker.warmup_steps,
-        momentum=tracker.momentum,
-        step=k,
-        means=means,
-        counts=counts,
-        smoothed=smoothed,
-    )
+    return replace(tracker, step=k, means=means, counts=counts, smoothed=smoothed)
 
 
 def curriculum_weights(
@@ -396,7 +386,7 @@ def align_step(
     else:
         weights = {d: 1.0 / len(losses) for d in sorted(losses)}
 
-    params = state.projector.params()
+    params = state.projector.params
     total = params.zeros_like()
     for domain in sorted(grad_vectors):
         total.flat[:] += weights[domain] * grad_vectors[domain].flat
@@ -404,15 +394,9 @@ def align_step(
     state.projector = state.projector.with_params(new_params)
     state.step = k
     for domain in sorted(losses):
+        smoothed = state.tracker.smoothed[domain]
         state.metrics.append(
-            MetricsRow(
-                step=k,
-                domain=domain,
-                loss=losses[domain],
-                grad_norm=observed[domain],
-                smoothed=state.tracker.smoothed[domain],
-                weight=weights[domain],
-            )
+            MetricsRow(k, domain, losses[domain], observed[domain], smoothed, weights[domain])
         )
     return state
 
@@ -474,7 +458,7 @@ def projector_to_checkpoint(
         "head_domains": sorted(head.instructions),
         **metadata,
     }
-    tensors = dict(projector.params().items())
+    tensors = dict(projector.params.items())
     tensors.update(dict(head.params().items()))
     return Checkpoint(metadata=meta, tensors=tensors)
 
@@ -491,12 +475,11 @@ def projector_from_checkpoint(ckpt: Checkpoint) -> tuple[Projector, FrozenHead]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ContractError(f"checkpoint metadata is malformed: {exc}") from exc
     width = num_tokens * token_dim
-    projector = Projector(
-        weight=ckpt.tensor("projector.weight", (input_dim, width)),
-        bias=ckpt.tensor("projector.bias", (width,)),
-        num_tokens=num_tokens,
-        token_dim=token_dim,
-    )
+    arrays = {
+        "projector.weight": ckpt.tensor("projector.weight", (input_dim, width)),
+        "projector.bias": ckpt.tensor("projector.bias", (width,)),
+    }
+    projector = Projector(ParamSet(arrays), num_tokens, token_dim)
     head = FrozenHead(
         num_tokens=num_tokens,
         token_dim=token_dim,
@@ -554,20 +537,15 @@ def evaluate_classification(
             f"frozen head has {k} labels for domain {dataset.domain!r}, "
             f"but the dataset has {dataset.num_classes} classes"
         )
-
-    def predict(i: int) -> tuple[int, int]:
-        inst = dataset.instances[i]
-        if inst.label is None:
-            raise ContractError(f"instance {i} in {dataset.domain!r} has no label")
-        x_star, _ = task_representation(inst, encoder, dataset.task)
-        cache = _loss_from_representation(x_star, inst.domain, inst.label, proj, head)
-        logits_order = cache.probs  # same argmax as the logits
-        return int(np.argmax(logits_order)), inst.label
-
-    pairs = ordered_map(predict, indices)
-    preds = [p for p, _ in pairs]
-    labels = [l for _, l in pairs]
-    return classification_metrics(preds, labels, k)
+    instances = [dataset.instances[i] for i in indices]
+    for inst in instances:
+        _check_scorable(inst, head)
+    x, _ = encode_batch(instances, encoder)
+    preds = [  # the probabilities have the argmax of the logits
+        int(np.argmax(_loss_from_representation(row, inst.domain, inst.label, proj, head).probs))
+        for row, inst in zip(x, instances)
+    ]
+    return classification_metrics(preds, [inst.label for inst in instances], k)
 
 
 def classification_metrics(preds, labels, num_classes: int) -> tuple[float, float]:

@@ -1,20 +1,25 @@
-"""Multi-scale message-passing encoder.
+"""Multi-scale message-passing encoder, run over a batch of graphs at once.
 
-A stack of mean-aggregator layers produces node rows; mean pooling gives a
-graph row; three task heads (one linear map 2d->d each) emit node-, edge-,
-and graph-level representations of identical dimension. The backward pass
-is derived by hand for this fixed composite and is checked against the
-finite-difference oracle in the test suite.
+A batch's graphs are joined into one block-diagonal graph (node rows
+stacked, edge endpoints shifted by node offsets, as in PyG mini-batching),
+so Stage I makes one forward and one backward per batch. Mean-aggregator
+layers give node rows, mean pooling gives graph rows, and three task heads
+(one linear map 2d->d each, over the rows of its target kind) emit node-,
+edge- and graph-level representations of one dimension. Neighbour sums and
+pooling are flat-index ``np.bincount`` sums. The hand-derived backward is
+checked against finite differences and a per-instance reference in tests.
 
-Conventions: weights multiply on the right (``h @ w``); layer activation
-is ReLU everywhere except the final layer, which is linear so downstream
-cosine similarities are not sign-constrained. Isolated nodes aggregate a
-zero neighbor mean; there is no implicit self-loop.
+Conventions: weights multiply on the right (``h @ w``); every layer but the
+last (linear) is ReLU. Isolated nodes aggregate a zero neighbor mean; there
+is no implicit self-loop. Weight gradients sum over fixed 256-row chunks in
+a fixed order, so a seed gives the same bits at any BLAS thread count (one
+product over more rows may split its sum by thread).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -23,6 +28,11 @@ from .graphdata import GraphInstance, TaskKind, target_kind
 from .numcore import Matrix, ParamSet
 
 HEAD_NAMES = {"node": "node_head", "edge": "edge_head", "graph": "graph_head"}
+
+# Rows per weight-gradient product; see the module docstring.
+GRAD_CHUNK_ROWS = 256
+# Entries per segment-sum bincount; see _segment_sum.
+SEGMENT_CHUNK = 1 << 14
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -74,157 +84,194 @@ class MultiScaleEncoder:
 # ---------------------------------------------------------------- forward
 
 
-def _edge_arrays(
-    num_nodes: int, edges: list[tuple[int, int]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Source/destination index arrays and 1/in-degree (0 for isolated)."""
-    if edges:
-        src = np.fromiter((u for u, _ in edges), dtype=np.intp, count=len(edges))
-        dst = np.fromiter((v for _, v in edges), dtype=np.intp, count=len(edges))
-    else:
-        src = np.empty(0, dtype=np.intp)
-        dst = np.empty(0, dtype=np.intp)
-    deg = np.bincount(dst, minlength=num_nodes).astype(np.float64)
-    inv_deg = np.zeros(num_nodes)
-    np.divide(1.0, deg, out=inv_deg, where=deg > 0)
-    return src, dst, inv_deg
-
-
-def _neighbor_mean(
-    h: np.ndarray, src: np.ndarray, dst: np.ndarray, inv_deg: np.ndarray
+def _segment_sum(
+    rows: np.ndarray, take: np.ndarray, segment: np.ndarray, num_segments: int
 ) -> np.ndarray:
-    agg = np.zeros((h.shape[0], h.shape[1]))
-    np.add.at(agg, dst, h[src])
-    agg *= inv_deg[:, None]
-    return agg
+    """Sum of ``rows[take[e]]`` per id ``segment[e]``, added in e order.
+
+    Past SEGMENT_CHUNK entries, the entries are sorted by id (stably) and
+    summed a chunk at a time, cut between ids: the allocator maps batch-sized
+    temporaries afresh on every call, which made the cost outgrow the edges.
+    """
+    width = rows.shape[1]
+    if segment.size * width <= SEGMENT_CHUNK:
+        return _bincount_rows(rows[take], segment, num_segments)
+    order = np.argsort(segment, kind="stable")
+    take, segment = take[order], segment[order]
+    out = np.zeros((num_segments, width))
+    step = max(1, SEGMENT_CHUNK // width)
+    bounds = sorted({0, segment.size, *np.searchsorted(segment, segment[step::step]).tolist()})
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        lo, hi = segment[start], segment[stop - 1] + 1
+        out[lo:hi] = _bincount_rows(rows[take[start:stop]], segment[start:stop] - lo, hi - lo)
+    return out
+
+
+def _bincount_rows(values: np.ndarray, ids: np.ndarray, num_ids: int) -> np.ndarray:
+    """Row sums of ``values`` per id, added in row order by one flat ``np.bincount``."""
+    width = values.shape[1]
+    flat = (ids[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, values.ravel(), num_ids * width)
+    return sums.reshape(num_ids, width).astype(np.float64, copy=False)  # int when empty
+
+
+def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a.T @ b``, summed over GRAD_CHUNK_ROWS-row chunks in row order."""
+    out = a[:GRAD_CHUNK_ROWS].T @ b[:GRAD_CHUNK_ROWS]
+    for start in range(GRAD_CHUNK_ROWS, a.shape[0], GRAD_CHUNK_ROWS):
+        out += a[start : start + GRAD_CHUNK_ROWS].T @ b[start : start + GRAD_CHUNK_ROWS]
+    return out
 
 
 @dataclass
-class LayerTrace:
-    h_in: np.ndarray
-    agg: np.ndarray
-    pre: np.ndarray
-
-
-@dataclass
-class EncodeCache:
-    """Forward intermediates retained for the hand-derived backward pass."""
+class BatchCache:
+    """Forward intermediates of a batch; graph b holds nodes offsets[b]:offsets[b + 1]."""
 
     encoder: MultiScaleEncoder
+    offsets: np.ndarray
+    graph_of: np.ndarray  # graph index of every node
     src: np.ndarray
     dst: np.ndarray
-    inv_deg: np.ndarray
-    layers: list[LayerTrace]
+    inv_deg: np.ndarray  # 1/in-degree, 1 for a node without in-edges
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]]  # (input, neighbour mean, pre)
     h_node: np.ndarray
-    h_graph: np.ndarray
-    # task-head fields, absent for a bare encode
-    kind: TaskKind | None = None
-    concat: np.ndarray | None = None
-    node_index: int | None = None
-    edge_pair: tuple[int, int] | None = None
+    h_graph: np.ndarray  # (B, d)
+    heads: list[tuple] | None = None  # per kind: (kind, rows, target node ids, head inputs)
+
+
+def _encode_nodes(instances: list[GraphInstance], enc: MultiScaleEncoder) -> BatchCache:
+    """Node rows after all layers and the mean-pooled graph rows of a batch."""
+    if not instances:
+        raise ContractError("cannot encode an empty batch")
+    feats = [np.asarray(g.node_features, dtype=np.float64) for g in instances]
+    for g, h in zip(instances, feats):
+        if h.shape != (g.num_nodes, enc.input_dim):
+            raise DimensionError(
+                f"node features {h.shape} do not match ({g.num_nodes} nodes, {enc.input_dim})"
+            )
+    h = np.concatenate(feats) if len(feats) > 1 else feats[0]
+    sizes = [g.num_nodes for g in instances]
+    offsets = np.array([0, *accumulate(sizes)])
+    n = int(offsets[-1])
+    edge_counts = [len(g.edges) for g in instances]
+    ends = np.fromiter(
+        chain.from_iterable(chain.from_iterable(g.edges for g in instances)),
+        dtype=np.intp, count=2 * sum(edge_counts),
+    ).reshape(-1, 2) + np.repeat(offsets[:-1], edge_counts)[:, None]
+    src, dst = np.ascontiguousarray(ends.T)
+    inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=n), 1)  # no in-edges: sums stay 0
+
+    layers = []
+    for i in range(enc.num_layers):
+        agg = _segment_sum(h, src, dst, n) * inv_deg[:, None]
+        names = (f"layer{i}.self_weight", f"layer{i}.neigh_weight", f"layer{i}.bias")
+        w_self, w_neigh, bias = (enc.params[name] for name in names)
+        pre = h @ w_self + agg @ w_neigh + bias
+        layers.append((h, agg, pre))
+        h = pre if i == enc.num_layers - 1 else np.maximum(pre, 0.0)
+    graph_of = np.repeat(np.arange(len(instances)), sizes)
+    h_graph = _segment_sum(h, np.arange(n), graph_of, len(instances)) / np.diff(offsets)[:, None]
+    return BatchCache(enc, offsets, graph_of, src, dst, inv_deg, layers, h, h_graph)
+
+
+def encode_batch(
+    instances: list[GraphInstance], enc: MultiScaleEncoder
+) -> tuple[Matrix, BatchCache]:
+    """Representations (B x d) of a batch, each at its target's granularity.
+
+    Row b depends only on instance b: the batch's graphs share no edges.
+    """
+    cache = _encode_nodes(instances, enc)
+    h, h_graph = cache.h_node, cache.h_graph
+    x = np.empty((len(instances), enc.hidden_dim))
+    kinds = [target_kind(g.target) for g in instances]
+    cache.heads = []
+    for kind, name in HEAD_NAMES.items():
+        rows = np.array([b for b, k in enumerate(kinds) if k == kind], dtype=np.intp)
+        if not rows.size:
+            continue
+        if kind == "node":
+            targets = cache.offsets[rows] + [instances[b].target.node for b in rows]
+            local = h[targets]
+        elif kind == "edge":
+            ends = np.array([instances[b].target.edge for b in rows], dtype=np.intp)
+            targets = cache.offsets[rows][:, None] + ends
+            local = 0.5 * (h[targets[:, 0]] + h[targets[:, 1]])
+        else:
+            targets, local = None, h_graph[rows]
+        concat = np.concatenate([local, h_graph[rows]], axis=1)
+        x[rows] = concat @ enc.params[f"{name}.weight"] + enc.params[f"{name}.bias"]
+        cache.heads.append((kind, rows, targets, concat))
+    return x, cache
 
 
 def encode_node_graph(
     g: GraphInstance, enc: MultiScaleEncoder
-) -> tuple[Matrix, np.ndarray, EncodeCache]:
+) -> tuple[Matrix, np.ndarray, BatchCache]:
     """Node rows after all layers and their mean-pooled graph row."""
-    h = np.asarray(g.node_features, dtype=np.float64)
-    if h.shape != (g.num_nodes, enc.input_dim):
-        raise DimensionError(
-            f"node features {h.shape} do not match (num_nodes={g.num_nodes}, "
-            f"input_dim={enc.input_dim})"
-        )
-    src, dst, inv_deg = _edge_arrays(g.num_nodes, g.edges)
-    traces: list[LayerTrace] = []
-    for i in range(enc.num_layers):
-        w_self = enc.params[f"layer{i}.self_weight"]
-        w_neigh = enc.params[f"layer{i}.neigh_weight"]
-        bias = enc.params[f"layer{i}.bias"]
-        agg = _neighbor_mean(h, src, dst, inv_deg)
-        pre = h @ w_self + agg @ w_neigh + bias
-        traces.append(LayerTrace(h_in=h, agg=agg, pre=pre))
-        h = pre if i == enc.num_layers - 1 else np.maximum(pre, 0.0)
-    h_graph = h.mean(axis=0)
-    cache = EncodeCache(
-        encoder=enc, src=src, dst=dst, inv_deg=inv_deg,
-        layers=traces, h_node=h, h_graph=h_graph,
-    )
-    return h, h_graph, cache
+    cache = _encode_nodes([g], enc)
+    return cache.h_node, cache.h_graph[0], cache
 
 
 def task_representation(
     g: GraphInstance, enc: MultiScaleEncoder, task: TaskKind | None = None
-) -> tuple[np.ndarray, EncodeCache]:
+) -> tuple[np.ndarray, BatchCache]:
     """Same-dimension representation at the instance's target granularity."""
     kind = target_kind(g.target)
     if task is not None and task != kind:
         raise ContractError(f"instance target is {kind!r} but task {task!r} was requested")
-    h_node, h_graph, cache = encode_node_graph(g, enc)
-    if kind == "node":
-        v = g.target.node
-        local = h_node[v]
-        cache.node_index = v
-    elif kind == "edge":
-        u, v = g.target.edge
-        local = 0.5 * (h_node[u] + h_node[v])
-        cache.edge_pair = (u, v)
-    else:
-        local = h_graph
-    z = np.concatenate([local, h_graph])
-    head = HEAD_NAMES[kind]
-    x_star = z @ enc.params[f"{head}.weight"] + enc.params[f"{head}.bias"]
-    cache.kind = kind
-    cache.concat = z
-    return x_star, cache
+    x, cache = encode_batch([g], enc)
+    return x[0], cache
 
 
 # ---------------------------------------------------------------- backward
 
 
-def encoder_backward(cache: EncodeCache, upstream: np.ndarray) -> ParamSet:
-    """Exact gradients of (upstream . x_star) for every encoder parameter.
+def encoder_backward(
+    cache: BatchCache, upstream: np.ndarray, out: np.ndarray | None = None
+) -> ParamSet:
+    """Exact gradients of sum_b upstream[b] . x[b] for every encoder parameter.
 
-    ``cache`` must come from a task_representation call; heads not used by
-    the cached task receive zero gradients, written into one zero vector.
+    ``cache`` comes from ``encode_batch`` (a batch of one also takes a
+    ``(d,)`` upstream). The gradients go into ``out``, a zero vector of the
+    encoder's size, if given; heads that no instance used keep zero gradients.
     """
-    if cache.kind is None or cache.concat is None:
-        raise ContractError("cache has no task head; use the cache from task_representation")
+    if cache.heads is None:
+        raise ContractError("cache has no task head; use the cache from encode_batch")
     enc = cache.encoder
     d = enc.hidden_dim
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (d,):
-        raise ContractError(f"upstream gradient must have shape ({d},), got {upstream.shape}")
+    upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
+    if upstream.shape != cache.h_graph.shape:
+        raise ContractError(f"upstream must have shape {cache.h_graph.shape}, got {upstream.shape}")
 
-    grads = enc.params.zeros_like()
-    head = HEAD_NAMES[cache.kind]
-    grads[f"{head}.weight"][...] = np.outer(cache.concat, upstream)
-    grads[f"{head}.bias"][...] = upstream
-    dz = enc.params[f"{head}.weight"] @ upstream
-    d_local, d_graph = dz[:d], dz[d:].copy()
-
-    n = cache.h_node.shape[0]
+    grads = enc.params.with_flat(np.zeros(enc.params.flat.size) if out is None else out)
     d_h = np.zeros_like(cache.h_node)
-    if cache.kind == "node":
-        d_h[cache.node_index] += d_local
-    elif cache.kind == "edge":
-        u, v = cache.edge_pair
-        d_h[u] += 0.5 * d_local
-        d_h[v] += 0.5 * d_local
-    else:
-        d_graph += d_local
-    d_h += d_graph / n  # mean pooling fans the graph-row gradient out
+    d_graph = np.empty_like(cache.h_graph)
+    for kind, rows, targets, concat in cache.heads:
+        name = HEAD_NAMES[kind]
+        up = upstream[rows]
+        grads[f"{name}.weight"][...] = _rows_product(concat, up)
+        grads[f"{name}.bias"][...] = up.sum(axis=0)
+        dz = up @ enc.params[f"{name}.weight"].T
+        d_local, d_graph[rows] = dz[:, :d], dz[:, d:]
+        if kind == "node":
+            np.add.at(d_h, targets, d_local)
+        elif kind == "edge":  # add.at: a self-loop target (u == v) gets both halves
+            np.add.at(d_h, targets, 0.5 * d_local[:, None, :])
+        else:
+            d_graph[rows] += d_local
+    d_h += (d_graph / np.diff(cache.offsets)[:, None])[cache.graph_of]  # pooling fans rows out
 
+    n = d_h.shape[0]
     for i in reversed(range(enc.num_layers)):
-        trace = cache.layers[i]
-        d_pre = d_h if i == enc.num_layers - 1 else d_h * (trace.pre > 0.0)
-        grads[f"layer{i}.self_weight"][...] += trace.h_in.T @ d_pre
-        grads[f"layer{i}.neigh_weight"][...] += trace.agg.T @ d_pre
-        grads[f"layer{i}.bias"][...] += d_pre.sum(axis=0)
+        h_in, agg, pre = cache.layers[i]
+        d_pre = d_h if i == enc.num_layers - 1 else d_h * (pre > 0.0)
+        grads[f"layer{i}.self_weight"][...] = _rows_product(h_in, d_pre)
+        grads[f"layer{i}.neigh_weight"][...] = _rows_product(agg, d_pre)
+        grads[f"layer{i}.bias"][...] = d_pre.sum(axis=0)
         if i == 0:
             break  # the input features need no gradient
         d_h = d_pre @ enc.params[f"layer{i}.self_weight"].T
         d_agg = d_pre @ enc.params[f"layer{i}.neigh_weight"].T
-        if cache.src.size:
-            np.add.at(d_h, cache.src, d_agg[cache.dst] * cache.inv_deg[cache.dst, None])
-
+        d_h += _segment_sum(d_agg * cache.inv_deg[:, None], cache.dst, cache.src, n)
     return grads

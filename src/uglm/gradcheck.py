@@ -95,9 +95,7 @@ def _sample_smooth_encoder_case(rng: np.random.Generator, kind: str):
         enc = MultiScaleEncoder.initialize(d_in, d, layers, rng)
         g = _random_instance(rng, n, d_in, kind)
         _, cache = task_representation(g, enc)
-        margins = [
-            float(np.abs(trace.pre).min()) for trace in cache.layers[:-1]
-        ]
+        margins = [float(np.abs(pre).min()) for _, _, pre in cache.layers[:-1]]
         if not margins or min(margins) > _KINK_MARGIN:
             return enc, g
     raise GradientCheckError("could not sample a kink-free encoder configuration")
@@ -185,7 +183,7 @@ def check_instance_loss_gradients(seed: int, trials: int) -> CheckResult:
             lambda ps: _loss_from_representation(
                 cache.x_star, g.domain, g.label, proj.with_params(ps), head
             ).loss,
-            proj.params(),
+            proj.params,
         )
         worst = max(worst, _gated_rel_error(analytic, numeric))
     return CheckResult("instance_loss", trials, worst)
@@ -229,7 +227,7 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
 
         reps = FrozenRepresentations(enc)  # only the projector is perturbed below
         _, groups = domain_losses(batch, reps, proj, head)
-        analytic = proj.params().zeros_like()
+        analytic = proj.params.zeros_like()
         for name in sorted(groups):
             analytic.flat[:] += w_fixed[name] * domain_mean_gradient(groups[name], proj, head).flat
 
@@ -237,7 +235,7 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
             losses, _ = domain_losses(batch, reps, proj.with_params(ps), head)
             return sum(w_fixed[name] * losses[name] for name in losses)
 
-        numeric = finite_difference_gradient(objective, proj.params())
+        numeric = finite_difference_gradient(objective, proj.params)
         worst = max(worst, _gated_rel_error(analytic, numeric))
     return CheckResult("weighted_objective", trials, worst)
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .encoder import (
     MultiScaleEncoder,
+    encode_batch,
     encoder_backward,
     encoder_param_shapes,
-    task_representation,
     uniform_init,
 )
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     EmptyDataError,
     InvalidParameterError,
 )
-from .graphdata import Batch, DomainDataset, iterate_epochs
+from .graphdata import DomainDataset, iterate_epochs
 from .numcore import (
     OptimizerState,
     ParamSet,
@@ -41,7 +41,6 @@ from .numcore import (
     row_norms,
 )
 from .persist import Checkpoint
-from .runtime import ordered_map
 
 CENTER_SAMPLE_CAP = 1000
 
@@ -308,18 +307,6 @@ def _uniform_dims(datasets: list[DomainDataset]) -> tuple[int, int]:
     return d_in.pop(), d_t.pop()
 
 
-def _batch_forward(
-    batch: Batch, enc: MultiScaleEncoder
-) -> tuple[np.ndarray, list, np.ndarray, list[str]]:
-    pairs = batch.instances()
-    encoded = ordered_map(lambda pair: task_representation(pair[1], enc, pair[0].task), pairs)
-    x = np.stack([xi for xi, _ in encoded])
-    caches = [cache for _, cache in encoded]
-    t = np.stack([ds.text_embeddings[inst.text_index] for ds, inst in pairs])
-    ids = [inst.domain for _, inst in pairs]
-    return x, caches, t, ids
-
-
 def _stage1_arrays(
     encoder: MultiScaleEncoder, adapter: TextAdapter | None
 ) -> dict[str, np.ndarray]:
@@ -356,19 +343,15 @@ def pretrain_loop(
     total = sum(len(ds.splits.train) for ds in datasets)
     per_epoch = (total + config.batch_size - 1) // config.batch_size
 
-    loss_sum = 0.0
-    seen = 0
-    batch_count = 0
-    for batch in batches:
-        x, caches, t, ids = _batch_forward(batch, enc)
+    loss_sum, seen, batch_count = 0.0, 0, 0
+    for batch in batches:  # one encode and one backward per batch
+        pairs = batch.instances()
+        x, cache = encode_batch([inst for _, inst in pairs], enc)
+        t = np.stack([ds.text_embeddings[inst.text_index] for ds, inst in pairs])
+        ids = [inst.domain for _, inst in pairs]
         result = dr_clip_loss(x, t, ids, weights, config.temperature, adapter)
-        grads_list = ordered_map(
-            lambda pair: encoder_backward(pair[0], pair[1]),
-            list(zip(caches, result.grad_x)),
-        )
         grads = params.zeros_like()
-        for g in grads_list:  # deterministic instance-order reduction
-            grads.flat[:n_enc] += g.flat
+        encoder_backward(cache, result.grad_x, out=grads.flat[:n_enc])
         if result.grad_adapter is not None:
             grads.flat[n_enc:] = result.grad_adapter.flat
         params, opt = optimizer_step(opt, params, grads)
@@ -383,9 +366,7 @@ def pretrain_loop(
             epoch_losses.append(loss_sum / seen)
             loss_sum, seen, batch_count = 0.0, 0, 0
 
-    return PretrainResult(
-        encoder=enc, adapter=adapter, centers=centers, weights=weights, epoch_losses=epoch_losses
-    )
+    return PretrainResult(enc, adapter, centers, weights, epoch_losses)
 
 
 # ------------------------------------------------------------- checkpoints
@@ -458,11 +439,7 @@ def evaluate_retrieval(
         )
     chosen = rng.permutation(len(held))[:pool_size]
     indices = [held[int(i)] for i in chosen]
-    reps = ordered_map(
-        lambda i: task_representation(dataset.instances[i], encoder, dataset.task)[0],
-        indices,
-    )
-    x = np.stack(reps)
+    x, _ = encode_batch([dataset.instances[i] for i in indices], encoder)
     t = np.stack([dataset.text_embeddings[dataset.instances[i].text_index] for i in indices])
     if adapter is not None:
         t = adapter.apply(t)

@@ -1,8 +1,8 @@
 """Process-wide execution knobs.
 
-``UGLM_THREADS`` caps the size of the worker pool used for independent
-per-instance computations (encoding, evaluation). Results are always
-collected in submission order, so the thread count never changes outputs.
+``UGLM_THREADS`` caps the worker pool of independent per-instance work (the
+Stage II validation-loss probe). Results are always collected in submission
+order, so the thread count never changes outputs.
 """
 
 from __future__ import annotations

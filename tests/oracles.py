@@ -2,13 +2,18 @@
 
 The loss oracles are direct per-pair transcriptions of the losses they
 check and deliberately share no code with the production implementations.
+The per-instance encoder below is the slow reference for the batched one:
+one graph at a time, neighbour sums by ``np.add.at``, weight gradients by
+one matmul each.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from uglm.encoder import task_representation
+from uglm.encoder import HEAD_NAMES, task_representation
+from uglm.graphdata import target_kind
 from uglm.numcore import row_cosine_similarity
 
 
@@ -113,3 +118,121 @@ class ReencodedRepresentations:
     def get(self, dataset, index):
         x_star, _ = task_representation(dataset.instances[index], self.encoder, dataset.task)
         return x_star
+
+
+# ------------------------------------------------- per-instance encoder
+
+
+def _edge_arrays(num_nodes, edges):
+    """Source/destination index arrays and 1/in-degree (0 for isolated)."""
+    if edges:
+        src = np.fromiter((u for u, _ in edges), dtype=np.intp, count=len(edges))
+        dst = np.fromiter((v for _, v in edges), dtype=np.intp, count=len(edges))
+    else:
+        src = np.empty(0, dtype=np.intp)
+        dst = np.empty(0, dtype=np.intp)
+    deg = np.bincount(dst, minlength=num_nodes).astype(np.float64)
+    inv_deg = np.zeros(num_nodes)
+    np.divide(1.0, deg, out=inv_deg, where=deg > 0)
+    return src, dst, inv_deg
+
+
+def _neighbor_mean(h, src, dst, inv_deg):
+    agg = np.zeros((h.shape[0], h.shape[1]))
+    np.add.at(agg, dst, h[src])
+    agg *= inv_deg[:, None]
+    return agg
+
+
+@dataclass
+class LayerTrace:
+    h_in: np.ndarray
+    agg: np.ndarray
+    pre: np.ndarray
+
+
+@dataclass
+class EncodeCache:
+    """Forward intermediates of one instance for the reference backward."""
+
+    encoder: object
+    src: np.ndarray
+    dst: np.ndarray
+    inv_deg: np.ndarray
+    layers: list
+    h_node: np.ndarray
+    h_graph: np.ndarray
+    kind: str
+    concat: np.ndarray
+    node_index: int | None = None
+    edge_pair: tuple | None = None
+
+
+def reference_task_representation(g, enc):
+    """One instance's representation and its cache, one graph at a time."""
+    h = np.asarray(g.node_features, dtype=np.float64)
+    src, dst, inv_deg = _edge_arrays(g.num_nodes, [tuple(e) for e in g.edges])
+    traces = []
+    for i in range(enc.num_layers):
+        agg = _neighbor_mean(h, src, dst, inv_deg)
+        pre = (
+            h @ enc.params[f"layer{i}.self_weight"]
+            + agg @ enc.params[f"layer{i}.neigh_weight"]
+            + enc.params[f"layer{i}.bias"]
+        )
+        traces.append(LayerTrace(h_in=h, agg=agg, pre=pre))
+        h = pre if i == enc.num_layers - 1 else np.maximum(pre, 0.0)
+    h_graph = h.mean(axis=0)
+    kind = target_kind(g.target)
+    node_index = edge_pair = None
+    if kind == "node":
+        node_index = g.target.node
+        local = h[node_index]
+    elif kind == "edge":
+        edge_pair = tuple(g.target.edge)
+        local = 0.5 * (h[edge_pair[0]] + h[edge_pair[1]])
+    else:
+        local = h_graph
+    z = np.concatenate([local, h_graph])
+    head = HEAD_NAMES[kind]
+    x_star = z @ enc.params[f"{head}.weight"] + enc.params[f"{head}.bias"]
+    cache = EncodeCache(
+        encoder=enc, src=src, dst=dst, inv_deg=inv_deg, layers=traces, h_node=h,
+        h_graph=h_graph, kind=kind, concat=z, node_index=node_index, edge_pair=edge_pair,
+    )
+    return x_star, cache
+
+
+def reference_encoder_backward(cache, upstream):
+    """Gradients of (upstream . x_star) for every encoder parameter."""
+    enc = cache.encoder
+    d = enc.hidden_dim
+    grads = enc.params.zeros_like()
+    head = HEAD_NAMES[cache.kind]
+    grads[f"{head}.weight"][...] = np.outer(cache.concat, upstream)
+    grads[f"{head}.bias"][...] = upstream
+    dz = enc.params[f"{head}.weight"] @ upstream
+    d_local, d_graph = dz[:d], dz[d:].copy()
+    d_h = np.zeros_like(cache.h_node)
+    if cache.kind == "node":
+        d_h[cache.node_index] += d_local
+    elif cache.kind == "edge":
+        u, v = cache.edge_pair
+        d_h[u] += 0.5 * d_local
+        d_h[v] += 0.5 * d_local
+    else:
+        d_graph += d_local
+    d_h += d_graph / cache.h_node.shape[0]
+    for i in reversed(range(enc.num_layers)):
+        trace = cache.layers[i]
+        d_pre = d_h if i == enc.num_layers - 1 else d_h * (trace.pre > 0.0)
+        grads[f"layer{i}.self_weight"][...] += trace.h_in.T @ d_pre
+        grads[f"layer{i}.neigh_weight"][...] += trace.agg.T @ d_pre
+        grads[f"layer{i}.bias"][...] += d_pre.sum(axis=0)
+        if i == 0:
+            break
+        d_h = d_pre @ enc.params[f"layer{i}.self_weight"].T
+        d_agg = d_pre @ enc.params[f"layer{i}.neigh_weight"].T
+        if cache.src.size:
+            np.add.at(d_h, cache.src, d_agg[cache.dst] * cache.inv_deg[cache.dst, None])
+    return grads

@@ -23,7 +23,7 @@ from uglm.align import (
     mean_split_loss,
     update_difficulty,
 )
-from uglm.encoder import MultiScaleEncoder, task_representation
+from uglm.encoder import MultiScaleEncoder, encode_batch, task_representation
 from uglm.errors import ContractError
 from uglm.graphdata import Batch
 from uglm.numcore import OptimizerState, finite_difference_gradient
@@ -110,7 +110,7 @@ def test_projector_gradient_matches_finite_differences():
         def f(ps):
             return instance_loss(inst, enc, proj.with_params(ps), head)[0]
 
-        numeric = finite_difference_gradient(f, proj.params())
+        numeric = finite_difference_gradient(f, proj.params)
         worst = max(worst, max_relative_error(analytic, numeric))
     assert worst <= 1e-6
 
@@ -303,17 +303,14 @@ def test_equal_difficulty_update_matches_uniform_weighting_bitwise():
     def run(weighting):
         config = AlignConfig(total_steps=4, batch_size=12, seed=0, weighting=weighting)
         state = AlignState(
-            projector=Projector(
-                weight=proj.weight.copy(), bias=proj.bias.copy(),
-                num_tokens=proj.num_tokens, token_dim=proj.token_dim,
-            ),
+            projector=Projector(proj.params, proj.num_tokens, proj.token_dim),
             optimizer=OptimizerState(config.learning_rate),
             tracker=DifficultyTracker.create(4, config.warmup_ratio, config.momentum),
         )
         reps = FrozenRepresentations(enc)
         for _ in range(4):
             state = align_step(batch, state, config, reps, head)
-        return param_fingerprint(state.projector.params())
+        return param_fingerprint(state.projector.params)
 
     assert run("curriculum") == run("uniform")
 
@@ -367,9 +364,9 @@ def test_weighted_objective_gradient_matches_finite_differences():
         losses, _ = domain_losses(batch, reps, p2, head)
         return sum(fixed_weights[d] * losses[d] for d in losses)
 
-    numeric = finite_difference_gradient(objective, proj.params())
+    numeric = finite_difference_gradient(objective, proj.params)
     _, groups = domain_losses(batch, reps, proj, head)
-    analytic = proj.params().zeros_like()
+    analytic = proj.params.zeros_like()
     for domain, group in sorted(groups.items()):
         analytic.flat[:] += fixed_weights[domain] * domain_mean_gradient(group, proj, head).flat
     assert max_relative_error(analytic, numeric) <= 1e-6
@@ -386,7 +383,7 @@ def test_zero_steps_leaves_projector_and_metrics_empty():
         enc.hidden_dim, config.num_tokens, config.token_dim,
         np.random.default_rng(np.random.SeedSequence(9).spawn(2)[0]),
     )
-    assert param_fingerprint(state.projector.params()) == param_fingerprint(fresh.params())
+    assert param_fingerprint(state.projector.params) == param_fingerprint(fresh.params)
     assert state.metrics == []
 
 
@@ -442,8 +439,8 @@ def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, w
     memoized, _ = align_loop(config, datasets, enc)
     monkeypatch.setattr("uglm.align.FrozenRepresentations", ReencodedRepresentations)
     reference, _ = align_loop(config, datasets, enc)
-    assert param_fingerprint(memoized.projector.params()) == param_fingerprint(
-        reference.projector.params()
+    assert param_fingerprint(memoized.projector.params) == param_fingerprint(
+        reference.projector.params
     )
     assert [r.as_tuple() for r in memoized.metrics] == [r.as_tuple() for r in reference.metrics]
 
@@ -500,6 +497,29 @@ def test_evaluate_classification_runs_and_bounds():
     ds, enc, proj, head = small_setup()
     acc, f1 = evaluate_classification(enc, proj, head, ds, split="test")
     assert 0.0 <= acc <= 1.0 and 0.0 <= f1 <= 1.0
+
+
+def test_classification_encodes_its_split_in_one_batch(monkeypatch):
+    ds, enc, proj, head = small_setup()
+    calls = []
+
+    def counting(instances, *args):
+        calls.append(len(instances))
+        return encode_batch(instances, *args)
+
+    monkeypatch.setattr("uglm.align.encode_batch", counting)
+    monkeypatch.setattr("uglm.align.task_representation", None)  # no per-instance encode
+    evaluate_classification(enc, proj, head, ds, split="test")
+    assert calls == [len(ds.splits.test)]
+
+
+def test_projector_weight_and_bias_are_views_of_its_params():
+    _, _, proj, _ = small_setup()
+    assert proj.params is proj.params  # held, not rebuilt per access
+    assert np.shares_memory(proj.weight, proj.params.flat)
+    assert np.shares_memory(proj.bias, proj.params.flat)
+    moved = proj.with_params(proj.params.with_flat(proj.params.flat + 1.0))
+    assert np.array_equal(moved.weight, proj.weight + 1.0)
 
 
 def test_classification_rejects_head_with_other_class_count():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import max_relative_error
+from oracles import max_relative_error, reference_encoder_backward, reference_task_representation
 from uglm.encoder import (
+    GRAD_CHUNK_ROWS,
+    SEGMENT_CHUNK,
     MultiScaleEncoder,
+    encode_batch,
     encode_node_graph,
     encoder_backward,
     task_representation,
@@ -225,5 +228,109 @@ def test_backward_requires_task_cache():
     enc = MultiScaleEncoder.initialize(2, 3, 1, rng)
     g = random_instance(rng, 3, 2, "node")
     _, _, cache = encode_node_graph(g, enc)
+    with pytest.raises(ContractError):
+        encoder_backward(cache, np.zeros(3))
+
+
+# ------------------------------------------------------------ batched path
+
+
+def mixed_batch(rng, d_in, big_nodes=0):
+    """Node, edge and graph targets with the corner cases the batch must keep:
+    a graph with no edges, isolated nodes, and a self-loop edge target."""
+    graphs = [random_instance(rng, int(rng.integers(2, 8)), d_in, kind) for kind in ("node", "edge", "graph") * 2]
+    graphs.append(instance(3, [], rng.normal(size=(3, d_in)), NodeTarget(node=2)))
+    graphs.append(instance(5, [(0, 1), (1, 0), (1, 2)], rng.normal(size=(5, d_in)), GraphTarget()))
+    graphs.append(instance(3, [(0, 1), (1, 1), (2, 1)], rng.normal(size=(3, d_in)), EdgeTarget(edge=(1, 1))))
+    if big_nodes:
+        graphs.append(random_instance(rng, big_nodes, d_in, "edge"))
+    return [graphs[i] for i in rng.permutation(len(graphs))]
+
+
+def assert_close(actual, expected, tol=1e-12):
+    """Max abs difference at most ``tol`` of the largest reference entry."""
+    scale = max(float(np.max(np.abs(expected))), 1e-300)
+    assert float(np.max(np.abs(actual - expected))) <= tol * scale
+
+
+@pytest.mark.parametrize("chunk", [SEGMENT_CHUNK, 8])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_batch_matches_per_instance_reference(monkeypatch, layers, chunk):
+    # a chunk of 8 entries cuts every segment sum many times, hub nodes included
+    monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+    rng = np.random.default_rng(20 + layers)
+    enc = MultiScaleEncoder.initialize(3, 5, layers, rng)
+    # more nodes than one weight-gradient chunk, so the chunked sums run
+    batch = mixed_batch(rng, 3, big_nodes=GRAD_CHUNK_ROWS + 40)
+    x, cache = encode_batch(batch, enc)
+    upstream = rng.normal(size=x.shape)
+    grads = encoder_backward(cache, upstream)
+    summed = np.zeros_like(grads.flat)
+    for b, g in enumerate(batch):
+        x_ref, ref_cache = reference_task_representation(g, enc)
+        assert_close(x[b], x_ref)
+        summed += reference_encoder_backward(ref_cache, upstream[b]).flat
+    assert_close(grads.flat, summed)
+
+
+def test_row_does_not_depend_on_the_rest_of_the_batch():
+    rng = np.random.default_rng(31)
+    enc = MultiScaleEncoder.initialize(2, 4, 2, rng)
+    batch = mixed_batch(rng, 2)
+    x, _ = encode_batch(batch, enc)
+    others = mixed_batch(np.random.default_rng(32), 2)
+    for b, g in enumerate(batch):
+        alone, _ = task_representation(g, enc)
+        assert_close(alone, x[b])
+        mixed, _ = encode_batch(others[:3] + [g] + others[3:], enc)
+        assert_close(mixed[3], x[b])
+
+
+def test_batch_backward_matches_finite_differences():
+    rng = np.random.default_rng(33)
+    enc = MultiScaleEncoder.initialize(3, 4, 2, rng)
+    batch = mixed_batch(rng, 3)
+    probe = rng.normal(size=(len(batch), 4))
+
+    def f(ps):
+        x, _ = encode_batch(batch, enc.with_params(ps))
+        return float(np.sum(probe * x))
+
+    _, cache = encode_batch(batch, enc)
+    analytic = encoder_backward(cache, probe)
+    numeric = finite_difference_gradient(f, enc.params)
+    assert max_relative_error(analytic, numeric) <= 1e-6
+
+
+def test_self_loop_edge_target_gets_both_halves():
+    # x = 0.5 * (h[u] + h[v]) with u == v is h[u]: its gradient is the full upstream
+    enc = manual_encoder(1.0, 0.0, 0.0)
+    g = instance(2, [(1, 1)], [[2.0], [3.0]], EdgeTarget(edge=(1, 1)))
+    x, cache = encode_batch([g], enc)
+    assert np.array_equal(x, np.array([[3.0 + 2.5]]))
+    grads = encoder_backward(cache, np.ones((1, 1)))
+    # dx/dw_self = d(h1 + mean(h))/dw_self = 3 + 2.5
+    assert np.array_equal(grads["layer0.self_weight"], np.array([[5.5]]))
+
+
+def test_backward_writes_into_the_given_vector():
+    rng = np.random.default_rng(34)
+    enc = MultiScaleEncoder.initialize(2, 3, 2, rng)
+    batch = mixed_batch(rng, 2)
+    x, cache = encode_batch(batch, enc)
+    upstream = rng.normal(size=x.shape)
+    buffer = np.zeros(enc.params.flat.size + 4)
+    grads = encoder_backward(cache, upstream, out=buffer[: enc.params.flat.size])
+    assert np.shares_memory(grads.flat, buffer)
+    assert np.array_equal(buffer[: enc.params.flat.size], encoder_backward(cache, upstream).flat)
+    assert np.array_equal(buffer[enc.params.flat.size :], np.zeros(4))
+
+
+def test_empty_batch_and_wrong_upstream_are_contract_errors():
+    rng = np.random.default_rng(35)
+    enc = MultiScaleEncoder.initialize(2, 3, 1, rng)
+    with pytest.raises(ContractError):
+        encode_batch([], enc)
+    _, cache = encode_batch(mixed_batch(rng, 2), enc)
     with pytest.raises(ContractError):
         encoder_backward(cache, np.zeros(3))

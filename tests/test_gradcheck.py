@@ -3,10 +3,10 @@ from uglm.gradcheck import check_instance_loss_gradients
 
 
 def test_instance_loss_check_encodes_each_trial_once(monkeypatch):
-    encoded: list[int] = []
+    encoded = []  # the instances themselves: a freed instance's id can be reused
 
     def counting(inst, *args, **kwargs):
-        encoded.append(id(inst))
+        encoded.append(inst)
         return task_representation(inst, *args, **kwargs)
 
     # the check reaches the encoder through align's import; gradcheck's own
@@ -15,5 +15,5 @@ def test_instance_loss_check_encodes_each_trial_once(monkeypatch):
     monkeypatch.setattr("uglm.gradcheck.task_representation", counting)
     trials = 6
     result = check_instance_loss_gradients(seed=0, trials=trials)
-    assert len(encoded) == len(set(encoded)) == trials
+    assert len(encoded) == len({id(inst) for inst in encoded}) == trials
     assert result.passed

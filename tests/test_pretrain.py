@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uglm.encoder import encode_batch
 from uglm.errors import ContractError, DegenerateInputError, DimensionError, EmptyDataError
 from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits
 from uglm.numcore import ParamSet, finite_difference_gradient
@@ -346,6 +347,22 @@ def test_retrieval_single_candidate_is_perfect():
         result.encoder, datasets[0], 1, np.random.default_rng(0), result.adapter
     )
     assert r1 == 1.0 and r5 == 1.0
+
+
+def test_retrieval_encodes_its_pool_in_one_batch(monkeypatch):
+    datasets = synth_pair()
+    result = pretrain_loop(
+        PretrainConfig(epochs=0, batch_size=8, seed=0), datasets, hidden_dim=12, num_layers=1
+    )
+    calls = []
+
+    def counting(instances, *args):
+        calls.append(len(instances))
+        return encode_batch(instances, *args)
+
+    monkeypatch.setattr("uglm.pretrain.encode_batch", counting)
+    evaluate_retrieval(result.encoder, datasets[0], 3, np.random.default_rng(0), result.adapter)
+    assert calls == [3]
 
 
 def test_retrieval_pool_too_large():

@@ -1,7 +1,14 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import uglm
 from uglm.errors import InvalidParameterError
-from uglm.pretrain import PretrainConfig, pretrain_loop
+from uglm.graphdata import save_dataset
 from uglm.runtime import ordered_map, thread_cap
 from uglm.synthgen import DomainSpec, generate_domain
 
@@ -29,18 +36,36 @@ def test_ordered_map_preserves_order(monkeypatch):
     assert ordered_map(lambda i: i * i, items) == [i * i for i in items]
 
 
-def test_thread_cap_does_not_change_training_results(monkeypatch):
+def test_blas_thread_count_does_not_change_pretrain_checkpoint(tmp_path):
+    # Batches of 16 graphs of 40-60 nodes hold more than 500 nodes, where one
+    # BLAS product over all rows may reduce differently with the thread count.
+    data = tmp_path / "data"
+    data.mkdir()
     ds, _ = generate_domain(
         DomainSpec(
-            domain="t", task="node", num_instances=30, num_classes=3,
-            nodes_min=3, nodes_max=5, feature_dim=4, text_dim=4,
+            domain="t", task="graph", num_instances=40, num_classes=3,
+            nodes_min=40, nodes_max=60, feature_dim=16, text_dim=24,
             feature_noise=0.1, text_noise=0.1, label_noise=0.0, seed=2,
         )
     )
-    cfg = PretrainConfig(epochs=2, batch_size=8, learning_rate=1e-3, seed=5)
-    outputs = []
-    for cap in ("1", "4"):
-        monkeypatch.setenv("UGLM_THREADS", cap)
-        result = pretrain_loop(cfg, [ds], hidden_dim=8, num_layers=2)
-        outputs.append((tuple(result.epoch_losses), result.encoder.params["layer0.bias"].tobytes()))
-    assert outputs[0] == outputs[1]
+    save_dataset(ds, data / "t.jsonl", data / "t.emb")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "encoder": {"num_layers": 2, "hidden_dim": 48},
+        "pretrain": {"epochs": 1, "batch_size": 16, "learning_rate": 0.01, "seed": 3},
+    }))
+    paths = [str(pathlib.Path(uglm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    checkpoints = []
+    for threads in ("1", None):  # one thread, then the default
+        env = dict(base) if threads is None else {**base, "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"encoder-{threads}.ckpt"
+        result = subprocess.run(
+            [sys.executable, "-m", "uglm", "pretrain", "--config", str(config),
+             "--data", str(data), "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
