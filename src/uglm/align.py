@@ -26,7 +26,6 @@ from .errors import ContractError, InvalidParameterError
 from .graphdata import Batch, DomainDataset, GraphInstance, iterate_epochs
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
 from .persist import Checkpoint
-from .runtime import ordered_map
 
 
 def _derived_rng(*parts) -> np.random.Generator:
@@ -159,11 +158,10 @@ def instance_loss(
     encoder: MultiScaleEncoder,
     proj: Projector,
     head: FrozenHead,
-    task: str | None = None,
 ) -> tuple[float, LossCache]:
     """Cross-entropy of the frozen head over candidate labels."""
     _check_scorable(inst, head)
-    x_star, _ = task_representation(inst, encoder, task)
+    x_star, _ = task_representation(inst, encoder)
     cache = _loss_from_representation(x_star, inst.domain, inst.label, proj, head)
     return cache.loss, cache
 
@@ -506,6 +504,20 @@ def _split_indices(dataset: DomainDataset, split: str) -> list[int]:
     return indices
 
 
+def _scored_split(
+    encoder: MultiScaleEncoder, proj: Projector, head: FrozenHead, dataset: DomainDataset, split: str
+) -> tuple[list[GraphInstance], list[LossCache]]:
+    """One split's instances and their head scores, encoded in one batch."""
+    instances = [dataset.instances[i] for i in _split_indices(dataset, split)]
+    for inst in instances:
+        _check_scorable(inst, head)
+    x, _ = encode_batch(instances, encoder)
+    return instances, [
+        _loss_from_representation(row, inst.domain, inst.label, proj, head)
+        for row, inst in zip(x, instances)
+    ]
+
+
 def mean_split_loss(
     encoder: MultiScaleEncoder,
     proj: Projector,
@@ -514,12 +526,8 @@ def mean_split_loss(
     split: str = "val",
 ) -> float:
     """Mean instance loss over one split; the validation-quality probe."""
-    indices = _split_indices(dataset, split)
-    losses = ordered_map(
-        lambda i: instance_loss(dataset.instances[i], encoder, proj, head, dataset.task)[0],
-        indices,
-    )
-    return float(np.mean(losses))
+    _, scored = _scored_split(encoder, proj, head, dataset, split)
+    return float(np.mean([cache.loss for cache in scored]))
 
 
 def evaluate_classification(
@@ -530,21 +538,14 @@ def evaluate_classification(
     split: str = "test",
 ) -> tuple[float, float]:
     """Accuracy and macro-F1 of argmax predictions over a labeled split."""
-    indices = _split_indices(dataset, split)
     k = head.label_embeddings[dataset.domain].shape[0]
     if k != dataset.num_classes:
         raise ContractError(
             f"frozen head has {k} labels for domain {dataset.domain!r}, "
             f"but the dataset has {dataset.num_classes} classes"
         )
-    instances = [dataset.instances[i] for i in indices]
-    for inst in instances:
-        _check_scorable(inst, head)
-    x, _ = encode_batch(instances, encoder)
-    preds = [  # the probabilities have the argmax of the logits
-        int(np.argmax(_loss_from_representation(row, inst.domain, inst.label, proj, head).probs))
-        for row, inst in zip(x, instances)
-    ]
+    instances, scored = _scored_split(encoder, proj, head, dataset, split)
+    preds = [int(np.argmax(cache.probs)) for cache in scored]  # argmax of the logits
     return classification_metrics(preds, [inst.label for inst in instances], k)
 
 

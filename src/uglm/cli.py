@@ -35,6 +35,7 @@ from .persist import (
     save_checkpoint,
 )
 from .pretrain import encoder_from_checkpoint, encoder_to_checkpoint, evaluate_retrieval, pretrain_loop
+from . import runtime  # noqa: F401  no command calls it, but importing cli loads every module
 from .synthgen import DEFAULT_MASTER_SEED, generate_benchmark_suite
 
 
@@ -114,6 +115,27 @@ def _from_checkpoint(convert, path):
         raise ContractError(f"{path}: {exc}") from exc
 
 
+def _load_encoder(path, datasets: list[DomainDataset]):
+    """A Stage I checkpoint's encoder and adapter; known domains must keep their dims."""
+
+    def checked(ckpt):
+        known = ckpt.metadata.get("domain_data", {})
+        try:
+            dims = {d: (int(known[d]["feature_dim"]), int(known[d]["text_dim"])) for d in known}
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ContractError(f"checkpoint domain_data is malformed: {exc!r}") from exc
+        for ds in datasets:
+            have = (ds.feature_dim, ds.text_dim)
+            if dims.get(ds.domain, have) != have:
+                raise ContractError(
+                    f"domain {ds.domain!r} was pretrained with (feature_dim, text_dim) "
+                    f"{dims[ds.domain]}, but {ds.graph_path} has {have}"
+                )
+        return encoder_from_checkpoint(ckpt)
+
+    return _from_checkpoint(checked, path)
+
+
 def _cmd_synth(args) -> int:
     _echo({"command": "synth", "out": args.out, "seed": args.seed})
     written = generate_benchmark_suite(args.out, args.seed)
@@ -146,6 +168,10 @@ def _cmd_pretrain(args) -> int:
             "config": run_config.as_dict(),
             "seed": run_config.pretrain.seed,
             "domains": [ds.domain for ds in datasets],
+            "domain_data": {  # checked by align and eval
+                ds.domain: {"sha256": ds.sha256, "feature_dim": ds.feature_dim,
+                            "text_dim": ds.text_dim, "classes": ds.num_classes} for ds in datasets
+            },
         },
     )
     save_checkpoint(ckpt, args.out)
@@ -174,7 +200,7 @@ def _cmd_align(args) -> int:
         }
     )
     datasets = _discover_datasets(args.data)
-    encoder, _ = _from_checkpoint(encoder_from_checkpoint, args.encoder)
+    encoder, _ = _load_encoder(args.encoder, datasets)
     state, head = align_loop(run_config.align, datasets, encoder)
     ckpt = projector_to_checkpoint(
         state.projector,
@@ -207,7 +233,7 @@ def _cmd_eval(args) -> int:
         }
     )
     datasets = _discover_datasets(args.data)
-    encoder, adapter = _from_checkpoint(encoder_from_checkpoint, args.encoder)
+    encoder, adapter = _load_encoder(args.encoder, datasets)
     results: dict[str, dict] = {}
     if args.mode == "retrieval":
         rng = np.random.default_rng(args.seed)

@@ -13,34 +13,52 @@ Two companion files describe a domain:
   u32-LE count and dim, then count*dim little-endian float32, row-major.
 
 Embeddings are stored as float32 on disk and upcast to float64 on load;
-all other numbers round-trip exactly through JSON.
+all other numbers round-trip exactly through JSON. ``edge_features`` are
+checked (one row per edge), then dropped. A parse is cached in the sidecar
+``<name>.jsonl.pack``: a ``persist`` container of the ``PACK_ARRAYS``, keyed
+by the SHA-256 of the JSONL bytes and ``PACK_VERSION``. A missing, corrupt,
+stale or ill-shaped sidecar is rewritten, so deleting one is always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    CheckpointError,
     EmptyDataError,
     InvalidParameterError,
     ParseError,
     ValidationError,
 )
+from .persist import Checkpoint, decode_checkpoint, encode_checkpoint
 
 GRAPH_FORMAT_NAME = "uglm-graphs"
 GRAPH_FORMAT_VERSION = 1
 EMBEDDING_MAGIC = b"UGEMB\x01"
+PACK_SUFFIX = ".pack"
+PACK_VERSION = 1
 
 TASK_KINDS = ("node", "edge", "graph")
+SPLIT_NAMES = ("train", "val", "test")
 
 # Stage II sizes its frozen head and its metrics by the class count, so a
 # header cannot ask for more classes than this.
 MAX_CLASSES = 1 << 16
+# Sidecar tensors are float64; integers up to this size survive exactly.
+_MAX_EXACT_INT = 1 << 53
+PACK_ARRAYS = (
+    "node_features", "node_offsets", "edges", "edge_offsets", "target", "label", "text_index"
+)
 
 TaskKind = str
 
@@ -82,7 +100,6 @@ class GraphInstance:
     text_index: int
     domain: str
     label: int | None = None
-    edge_features: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -105,6 +122,8 @@ class DomainDataset:
     instances: list[GraphInstance]
     text_embeddings: np.ndarray
     splits: Splits
+    graph_path: str | None = None  # load_dataset sets these two
+    sha256: dict[str, str] = field(default_factory=dict)  # "graphs" and "embeddings" files
 
     @property
     def feature_dim(self) -> int:
@@ -132,85 +151,49 @@ class Batch:
 # ------------------------------------------------------------- validation
 
 
-def validate_graph(
-    g: GraphInstance,
-    num_classes: int | None = None,
-    num_texts: int | None = None,
-) -> list[str]:
-    """Every violated invariant of one instance, not just the first."""
-    violations: list[str] = []
-    if g.num_nodes < 1:
-        violations.append(f"num_nodes must be >= 1, got {g.num_nodes}")
-    feats = np.asarray(g.node_features)
-    if feats.ndim != 2 or feats.shape[0] != g.num_nodes:
-        violations.append(
-            f"node_features shape {feats.shape} does not match num_nodes {g.num_nodes}"
-        )
-    for j, (u, v) in enumerate(g.edges):
-        if not (0 <= u < g.num_nodes and 0 <= v < g.num_nodes):
-            violations.append(
-                f"edge {j} = ({u},{v}) has endpoints outside [0,{g.num_nodes})"
-            )
-    if g.edge_features is not None and len(g.edge_features) != len(g.edges):
-        violations.append(
-            f"edge_features rows {len(g.edge_features)} != edge count {len(g.edges)}"
-        )
-    if isinstance(g.target, NodeTarget):
-        if not (0 <= g.target.node < g.num_nodes):
-            violations.append(f"target node {g.target.node} not in [0,{g.num_nodes})")
-    elif isinstance(g.target, EdgeTarget):
-        if tuple(g.target.edge) not in {tuple(e) for e in g.edges}:
-            violations.append(f"target edge {g.target.edge} not in the edge list")
-    if g.label is not None:
-        if num_classes is not None and not (0 <= g.label < num_classes):
-            violations.append(f"label {g.label} not in [0,{num_classes})")
-    if num_texts is not None and not (0 <= g.text_index < num_texts):
-        violations.append(f"text_index {g.text_index} not in [0,{num_texts})")
-    return violations
+def _validate_packed(arrays: dict, meta: dict, n_texts: int, path) -> None:
+    """Every dataset invariant over the packed arrays. Errors name ``path:line``
+    (instance i is line i + 2) and list all that the first bad instance breaks."""
+    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
+    bad_row = ~np.isfinite(feats).all(axis=1)
+    if bad_row.any():
+        i = np.searchsorted(node_off, np.argmax(bad_row), side="right") - 1
+        raise ParseError(f"{path}:{i + 2}: node_features has non-finite entries")
+    task, classes, n = meta["task"], meta["classes"], len(label)
+    if not 1 <= classes <= MAX_CLASSES:
+        raise ValidationError(f"{path}:1: class count must lie in [1,{MAX_CLASSES}], got {classes}")
+    sizes, edge_of = np.diff(node_off), np.repeat(np.arange(n), np.diff(edge_off))
+    edge_ok = (edges.min(axis=1) >= 0) & (edges.max(axis=1) < sizes[edge_of])
+    target_ok = ((target >= 0) & (target < sizes[:, None])).all(axis=1)
+    if task == "edge":  # some edge of the instance equals its target
+        target_ok &= np.bincount(edge_of[(edges == target[edge_of]).all(axis=1)], minlength=n) > 0
 
-
-def _validate_dataset(ds: DomainDataset, path) -> None:
-    """Errors name ``path:line``: the header is line 1, instance i is line i + 2."""
-    n_texts = ds.text_embeddings.shape[0]
-    if ds.task not in TASK_KINDS:
-        raise ValidationError(f"{path}:1: unknown task kind {ds.task!r}")
-    if not 1 <= ds.num_classes <= MAX_CLASSES:
-        raise ValidationError(
-            f"{path}:1: class count must lie in [1,{MAX_CLASSES}], got {ds.num_classes}"
+    def edge_problems(i):
+        span = slice(edge_off[i], edge_off[i + 1])
+        return "; ".join(
+            f"edge {j} = ({u},{v}) has endpoints outside [0,{sizes[i]})"
+            for j, ((u, v), ok) in enumerate(zip(edges[span].tolist(), edge_ok[span])) if not ok
         )
-    feature_dim: int | None = None
-    for i, inst in enumerate(ds.instances):
-        where = f"{path}:{i + 2}"
-        if inst.domain != ds.domain:
-            raise ValidationError(
-                f"{where}: field domain: {inst.domain!r} != dataset domain {ds.domain!r}"
-            )
-        if target_kind(inst.target) != ds.task:
-            raise ValidationError(
-                f"{where}: field target: kind {target_kind(inst.target)!r} "
-                f"does not match dataset task {ds.task!r}"
-            )
-        problems = validate_graph(inst, num_classes=ds.num_classes, num_texts=n_texts)
-        if problems:
-            raise ValidationError(f"{where}: " + "; ".join(problems))
-        d_in = int(inst.node_features.shape[1])
-        if feature_dim is None:
-            feature_dim = d_in
-        elif d_in != feature_dim:
-            raise ValidationError(
-                f"{where}: field node_features: dim {d_in} != domain dim {feature_dim}"
-            )
-    n = len(ds.instances)
+
+    checks = [  # (bad instances, what instance i breaks)
+        (np.bincount(edge_of[~edge_ok], minlength=n) > 0, edge_problems),
+        (~target_ok, lambda i: f"target node {target[i, 0]} not in [0,{sizes[i]})" if task == "node"
+         else f"target edge {tuple(target[i].tolist())} not in the edge list"),
+        ((label != -1) & ((label < 0) | (label >= classes)),  # -1 is null
+         lambda i: f"label {label[i]} not in [0,{classes})"),
+        ((text < 0) | (text >= n_texts), lambda i: f"text_index {text[i]} not in [0,{n_texts})"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        problems = "; ".join(say(i) for mask, say in checks if mask[i])
+        raise ValidationError(f"{path}:{i + 2}: {problems}")
     seen: set[int] = set()
-    for split_name in ("train", "val", "test"):
-        indices = getattr(ds.splits, split_name)
-        for idx in indices:
-            if not (0 <= idx < n):
-                raise ValidationError(f"{path}:1: split {split_name}: index {idx} not in [0,{n})")
-            if idx in seen:
-                raise ValidationError(
-                    f"{path}:1: split {split_name}: index {idx} appears in two splits"
-                )
+    for name in SPLIT_NAMES:
+        for idx in meta["splits"][name]:
+            problem = "appears in two splits" if idx in seen else f"not in [0,{n})"
+            if idx in seen or not 0 <= idx < n:
+                raise ValidationError(f"{path}:1: split {name}: index {idx} {problem}")
             seen.add(idx)
 
 
@@ -227,9 +210,7 @@ def save_embeddings(embeddings: np.ndarray, path) -> None:
         fh.write(arr.tobytes(order="C"))
 
 
-def load_embeddings(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _decode_embeddings(blob: bytes, path) -> np.ndarray:
     if len(blob) < len(EMBEDDING_MAGIC) or blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
         raise ParseError(f"{path}: not an embedding file (bad magic)")
     if len(blob) < len(EMBEDDING_MAGIC) + 8:
@@ -257,35 +238,26 @@ def _target_to_json(target: Target) -> dict:
     return {"graph": True}
 
 
-def _target_from_json(obj, where: str) -> Target:
-    if not isinstance(obj, dict) or len(obj) != 1:
+def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
+    """The target's kind and packed row: (node, node), (u, v) or (0, 0)."""
+    if not (isinstance(obj, dict) and len(obj) == 1 and obj.keys() <= set(TASK_KINDS)):
         raise ParseError(f"{where}: target must be a single-key object, got {obj!r}")
-    if "node" in obj:
-        return NodeTarget(node=int(obj["node"]))
-    if "edge" in obj:
-        u, v = obj["edge"]
-        return EdgeTarget(edge=(int(u), int(v)))
-    if "graph" in obj:
-        return GraphTarget()
-    raise ParseError(f"{where}: unknown target key in {obj!r}")
+    kind, value = next(iter(obj.items()))
+    u, v = value if kind == "edge" else (value, value) if kind == "node" else (0, 0)
+    return kind, (u, v)
 
 
 def _instance_to_json(inst: GraphInstance, task: TaskKind) -> dict:
-    record = {
+    return {
         "domain": inst.domain,
         "task": task,
         "num_nodes": inst.num_nodes,
         "edges": [[u, v] for u, v in inst.edges],
         "node_features": [[float(x) for x in row] for row in np.asarray(inst.node_features)],
+        "target": _target_to_json(inst.target),
+        "label": inst.label,
+        "text_index": inst.text_index,
     }
-    if inst.edge_features is not None:
-        record["edge_features"] = [
-            [float(x) for x in row] for row in np.asarray(inst.edge_features)
-        ]
-    record["target"] = _target_to_json(inst.target)
-    record["label"] = inst.label
-    record["text_index"] = inst.text_index
-    return record
 
 
 def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
@@ -296,11 +268,7 @@ def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
         "domain": ds.domain,
         "task": ds.task,
         "classes": ds.num_classes,
-        "splits": {
-            "train": list(ds.splits.train),
-            "val": list(ds.splits.val),
-            "test": list(ds.splits.test),
-        },
+        "splits": {name: list(getattr(ds.splits, name)) for name in SPLIT_NAMES},
     }
     lines = [json.dumps(header, separators=(",", ":"))]
     for inst in ds.instances:
@@ -310,96 +278,183 @@ def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
     save_embeddings(ds.text_embeddings, embedding_path)
 
 
-def _parse_instance(record: dict, where: str) -> GraphInstance:
+def _parse_instance(record: dict, header: dict, where: str):
+    """One record as (node rows, (E, 2) edges, [target row, label, text index])."""
     try:
-        edges = [(int(u), int(v)) for u, v in record["edges"]]
         feats = np.asarray(record["node_features"], dtype=np.float64)
-        if feats.ndim != 2:
-            raise ParseError(
-                f"{where}: node_features must be a list of equal-length rows"
-            )
-        if not np.isfinite(feats).all():
-            raise ParseError(f"{where}: node_features has non-finite entries")
-        edge_feats = None
+        edges = np.asarray(record["edges"], dtype=np.int64)
+        edges = edges.reshape(0, 2) if edges.size == 0 else edges
+        if feats.ndim != 2 or edges.ndim != 2 or edges.shape[1] != 2:
+            raise ParseError(f"{where}: node_features must be a list of equal-length rows "
+                             "and edges a list of [u, v] pairs")
+        problem = None
         if record.get("edge_features") is not None:
             edge_feats = np.asarray(record["edge_features"], dtype=np.float64)
             if edge_feats.ndim == 0:
                 raise ParseError(f"{where}: edge_features must be a list of rows")
-        label = record["label"]
-        return GraphInstance(
-            num_nodes=int(record["num_nodes"]),
-            edges=edges,
-            node_features=feats,
-            edge_features=edge_feats,
-            target=_target_from_json(record["target"], where),
-            label=None if label is None else int(label),
-            text_index=int(record["text_index"]),
-            domain=str(record["domain"]),
-        )
+            if len(edge_feats) != len(edges):
+                problem = f"edge_features rows {len(edge_feats)} != edge count {len(edges)}"
+        kind, target = _target_from_json(record["target"], where)
+        label = -1 if record["label"] is None else int(record["label"])
+        scalars = np.array([*target, label, record["text_index"]], dtype=np.int64)
+        if feats.shape[0] != int(record["num_nodes"]):
+            problem = f"node_features shape {feats.shape} does not match num_nodes {record['num_nodes']}"
+        elif str(record["domain"]) != header["domain"]:
+            problem = f"field domain: {str(record['domain'])!r} != dataset domain {header['domain']!r}"
+        elif kind != header["task"]:
+            problem = f"field target: kind {kind!r} does not match dataset task {header['task']!r}"
+        elif record["label"] is not None and label == -1:  # -1 is null once packed
+            problem = f"label -1 not in [0,{header['classes']})"
     except KeyError as exc:
         raise ParseError(f"{where}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed record: {exc}") from exc
+    if problem:
+        raise ValidationError(f"{where}: {problem}")
+    return feats, edges, scalars
 
 
-def load_dataset(graph_path, embedding_path) -> DomainDataset:
-    """Load and fully validate one domain from its file pair."""
-    with open(graph_path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+def _header(obj) -> dict:
+    """The domain-level fields of a JSONL header or a sidecar, type-checked."""
+    task = str(obj["task"])
+    if task not in TASK_KINDS:
+        raise ValueError(f"unknown task kind {task!r}")
+    splits = {name: [int(i) for i in obj["splits"][name]] for name in SPLIT_NAMES}
+    return {"domain": str(obj["domain"]), "task": task, "classes": int(obj["classes"]),
+            "splits": splits}
+
+
+def _parse_jsonl(lines: list[bytes], path) -> tuple[dict, dict]:
+    """Parse a JSONL file's lines straight into its packed arrays and header.
+    ``lines`` is emptied as it goes, so each line is freed once parsed."""
     if not lines:
-        raise ParseError(f"{graph_path}:1: empty file, expected a header line")
+        raise ParseError(f"{path}:1: empty file, expected a header line")
+    lines.reverse()
 
-    def parse_line(lineno: int, text: str) -> dict:
+    def parse_line(lineno: int, text: bytes) -> dict:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{graph_path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
         if not isinstance(obj, dict):
-            raise ParseError(f"{graph_path}:{lineno}: expected a JSON object")
+            raise ParseError(f"{path}:{lineno}: expected a JSON object")
         return obj
 
-    header = parse_line(1, lines[0])
-    if header.get("format") != GRAPH_FORMAT_NAME:
-        raise ParseError(f"{graph_path}:1: format is not {GRAPH_FORMAT_NAME!r}")
-    if header.get("version") != GRAPH_FORMAT_VERSION:
-        raise ParseError(f"{graph_path}:1: unsupported version {header.get('version')!r}")
+    raw = parse_line(1, lines.pop())
+    if raw.get("format") != GRAPH_FORMAT_NAME:
+        raise ParseError(f"{path}:1: format is not {GRAPH_FORMAT_NAME!r}")
+    if raw.get("version") != GRAPH_FORMAT_VERSION:
+        raise ParseError(f"{path}:1: unsupported version {raw.get('version')!r}")
     try:
-        domain = str(header["domain"])
-        task = str(header["task"])
-        classes = int(header["classes"])
-        raw_splits = header["splits"]
-        splits = Splits(
-            train=[int(i) for i in raw_splits["train"]],
-            val=[int(i) for i in raw_splits["val"]],
-            test=[int(i) for i in raw_splits["test"]],
-        )
+        header = _header(raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{graph_path}:1: malformed header: {exc}") from exc
-
-    instances: list[GraphInstance] = []
-    for lineno, text in enumerate(lines[1:], start=2):
+        raise ParseError(f"{path}:1: malformed header: {exc}") from exc
+    rows = []
+    for lineno in range(2, len(lines) + 2):
+        text = lines.pop()
         if not text.strip():
-            raise ParseError(f"{graph_path}:{lineno}: blank line")
+            raise ParseError(f"{path}:{lineno}: blank line")
         record = parse_line(lineno, text)
-        if record.get("task") != task:
+        if record.get("task") != header["task"]:
             raise ParseError(
-                f"{graph_path}:{lineno}: instance task {record.get('task')!r} != header task {task!r}"
+                f"{path}:{lineno}: instance task {record.get('task')!r} != header task {header['task']!r}"
             )
-        instances.append(_parse_instance(record, f"{graph_path}:{lineno}"))
-    if not instances:
-        raise EmptyDataError(f"{graph_path}:1: domain {domain!r} has no instances")
+        rows.append(_parse_instance(record, header, f"{path}:{lineno}"))
+        if (dim := rows[-1][0].shape[1]) != (first := rows[0][0].shape[1]):
+            raise ValidationError(f"{path}:{lineno}: field node_features: dim {dim} != domain dim {first}")
+    if not rows:
+        raise EmptyDataError(f"{path}:1: domain {header['domain']!r} has no instances")
+    feats, edges, scalars = zip(*rows)
+    scalars = np.stack(scalars)
+    offsets = [np.cumsum([0] + [len(a) for a in arrays]) for arrays in (feats, edges)]
+    packed = (np.concatenate(feats), offsets[0], np.concatenate(edges), offsets[1],
+              scalars[:, :2], scalars[:, 2], scalars[:, 3])
+    return dict(zip(PACK_ARRAYS, packed)), header
 
-    embeddings = load_embeddings(embedding_path)
-    ds = DomainDataset(
-        domain=domain,
-        task=task,
-        num_classes=classes,
-        instances=instances,
-        text_embeddings=embeddings,
-        splits=splits,
+
+# ------------------------------------------------------------ pack sidecar
+
+
+def _integral(arr: np.ndarray) -> np.ndarray:
+    """A float64 tensor of exact integers as int64; ValueError otherwise."""
+    if not ((np.abs(arr) <= _MAX_EXACT_INT).all() and np.array_equal(arr, np.trunc(arr))):
+        raise ValueError("sidecar tensor is not integral")
+    return arr.astype(np.int64)
+
+
+def _read_pack(pack_path: str, key: str) -> tuple[dict, dict] | None:
+    """The arrays and header of a sidecar with key ``key``, or None if there is none."""
+    try:
+        pack = decode_checkpoint(Path(pack_path).read_bytes(), pack_path)
+        header = _header(pack.metadata)
+        arrays = {k: _integral(pack.tensors[k]) for k in PACK_ARRAYS[1:]}
+        arrays["node_features"] = pack.tensors["node_features"]
+    except (OSError, CheckpointError, KeyError, TypeError, ValueError, OverflowError):
+        return None
+    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
+    n = label.size
+    well_shaped = (
+        (pack.metadata.get("pack_version"), pack.metadata.get("source_sha256")) == (PACK_VERSION, key)
+        and feats.ndim == edges.ndim == 2 and edges.shape[1] == 2 and n >= 1
+        and label.shape == text.shape == (n,) and target.shape == (n, 2)
+        and all(  # offsets run from 0 to the row count; instances have >= 1 node
+            off.shape == (n + 1,) and off[0] == 0 and off[-1] == rows and (np.diff(off) >= least).all()
+            for off, rows, least in ((node_off, len(feats), 1), (edge_off, len(edges), 0))
+        )
     )
-    _validate_dataset(ds, graph_path)
-    return ds
+    return (arrays, header) if well_shaped else None  # stale, another version, or ill-shaped
+
+
+def _write_pack(arrays: dict, header: dict, key: str, pack_path: str) -> None:
+    """Write a sidecar atomically; if the file system refuses, parse only."""
+    tmp = f"{pack_path}.tmp{os.getpid()}"
+    pack = Checkpoint({**header, "pack_version": PACK_VERSION, "source_sha256": key}, arrays)
+    try:
+        Path(tmp).write_bytes(encode_checkpoint(pack))
+        os.replace(tmp, pack_path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def load_dataset(graph_path, embedding_path) -> DomainDataset:
+    """Load and fully validate one domain from its file pair, reading the
+    sidecar if its key matches, else parsing the JSONL and writing one."""
+    blob = Path(graph_path).read_bytes()
+    key = hashlib.sha256(blob).hexdigest()
+    pack_path = f"{graph_path}{PACK_SUFFIX}"
+    packed = _read_pack(pack_path, key)
+    lines = None if packed else blob.splitlines()  # each is decoded on its own
+    del blob  # a parse holds the file once, as its lines
+    arrays, header = packed or _parse_jsonl(lines, graph_path)
+    emb_blob = Path(embedding_path).read_bytes()
+    embeddings = _decode_embeddings(emb_blob, embedding_path)
+    _validate_packed(arrays, header, embeddings.shape[0], graph_path)
+    if packed is None:
+        _write_pack(arrays, header, key, pack_path)
+
+    # one builder for both sources: node_features are read-only row views
+    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
+    feats.flags.writeable = False
+    node_off, edge_off, pairs = node_off.tolist(), edge_off.tolist(), list(zip(*edges.T.tolist()))
+    task, domain = header["task"], header["domain"]
+    instances = [
+        GraphInstance(
+            num_nodes=node_off[i + 1] - node_off[i], edges=pairs[edge_off[i] : edge_off[i + 1]],
+            node_features=feats[node_off[i] : node_off[i + 1]], text_index=text_index,
+            target=NodeTarget(u) if task == "node" else EdgeTarget((u, v)) if task == "edge"
+            else GraphTarget(),
+            domain=domain, label=None if lab == -1 else lab,
+        )
+        for i, ((u, v), lab, text_index) in enumerate(zip(target.tolist(), label.tolist(), text.tolist()))
+    ]
+    splits = Splits(*(header["splits"][name] for name in SPLIT_NAMES))
+    sha256 = {"graphs": key, "embeddings": hashlib.sha256(emb_blob).hexdigest()}
+    return DomainDataset(
+        domain, task, header["classes"], instances, embeddings, splits, str(graph_path), sha256
+    )
 
 
 # --------------------------------------------------------------- batching

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -80,29 +81,30 @@ class Checkpoint:
         return arr
 
 
-def _encode_tensor_table(tensors: dict[str, np.ndarray]) -> bytes:
-    chunks = [struct.pack("<I", len(tensors))]
+def _tensor_table(tensors: dict[str, np.ndarray]) -> list:
+    """The encoded tensor table as parts; each payload is its array, uncopied."""
+    parts = [struct.pack("<I", len(tensors))]
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype=np.float64)
+        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
         name_bytes = name.encode("utf-8")
         if len(name_bytes) > 0xFFFF:
             raise ValidationError(f"tensor name too long: {name[:40]}...")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            chunks.append(struct.pack("<Q", dim))
-        chunks.append(arr.astype("<f8").tobytes(order="C"))
-    return b"".join(chunks)
+        rank_and_dims = struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape)
+        parts += [struct.pack("<H", len(name_bytes)), name_bytes, rank_and_dims, arr]
+    return parts
+
+
+def _sha256(parts: list):
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest
 
 
 def encode_checkpoint(ckpt: Checkpoint) -> bytes:
     meta = json.dumps(ckpt.metadata, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    body = struct.pack("<I", ckpt.version)
-    body += struct.pack("<I", len(meta)) + meta
-    body += _encode_tensor_table(ckpt.tensors)
-    digest = hashlib.sha256(body).digest()
-    return CHECKPOINT_MAGIC + body + digest
+    parts = [struct.pack("<II", ckpt.version, len(meta)), meta, *_tensor_table(ckpt.tensors)]
+    return b"".join([CHECKPOINT_MAGIC, *parts, _sha256(parts).digest()])  # the one copy
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -129,51 +131,43 @@ class _Cursor:
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
-        data = fh.read()
+        return decode_checkpoint(fh.read(), path)
+
+
+def decode_checkpoint(data: bytes, path) -> Checkpoint:
+    """Verify and decode a container held in memory; errors name ``path``."""
     if len(data) < len(CHECKPOINT_MAGIC):
         raise TruncatedFileError(f"{path}: shorter than the container magic")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic bytes")
     if len(data) < len(CHECKPOINT_MAGIC) + 4 + 4 + 4 + 32:
         raise TruncatedFileError(f"{path}: shorter than an empty container")
-    body = data[len(CHECKPOINT_MAGIC) : -32]
+    body = memoryview(data)[len(CHECKPOINT_MAGIC) : -32]  # slices of it copy nothing
     stored_digest = data[-32:]
 
     cur = _Cursor(body)
-    version = cur.u32()
+    version = cur.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(f"{path}: container version {version} not supported")
-    meta_len = cur.u32()
+    meta_len = cur.unpack("<I")
     meta_bytes = cur.take(meta_len)
-    count = cur.u32()
+    count = cur.unpack("<I")
     # Walk the structure with raw bytes only; nothing is decoded until the
     # checksum has vouched for the payload.
     spans: list[tuple[bytes, tuple[int, ...], int, int]] = []
     for _ in range(count):
-        name_len = cur.u16()
+        name_len = cur.unpack("<H")
         name_bytes = cur.take(name_len)
-        rank = cur.u8()
-        dims = tuple(cur.u64() for _ in range(rank))
-        n_values = 1
-        for dim in dims:
-            n_values *= dim
+        rank = cur.unpack("<B")
+        dims = tuple(cur.unpack("<Q") for _ in range(rank))
         start = cur.pos
-        cur.take(8 * n_values)
+        cur.take(8 * math.prod(dims))
         spans.append((name_bytes, dims, start, cur.pos))
     if cur.pos != len(body):
         raise TruncatedFileError(f"{path}: {len(body) - cur.pos} unexpected trailing bytes")
@@ -182,13 +176,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise ChecksumError(f"{path}: payload checksum mismatch")
 
     try:
-        metadata = json.loads(meta_bytes.decode("utf-8"))
+        metadata = json.loads(bytes(meta_bytes).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"{path}: metadata is not valid JSON: {exc}") from exc
     tensors: dict[str, np.ndarray] = {}
     for name_bytes, dims, start, end in spans:
         try:
-            name = name_bytes.decode("utf-8")
+            name = bytes(name_bytes).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"{path}: tensor name is not valid UTF-8") from exc
         if name in tensors:
@@ -200,7 +194,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 def param_fingerprint(params: ParamSet) -> str:
     """SHA-256 hex digest of the parameter tensors in container encoding."""
-    return hashlib.sha256(_encode_tensor_table(dict(params.items()))).hexdigest()
+    return _sha256(_tensor_table(dict(params.items()))).hexdigest()
 
 
 # --------------------------------------------------------------- CSV export

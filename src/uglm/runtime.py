@@ -1,8 +1,7 @@
 """Process-wide execution knobs.
 
-``UGLM_THREADS`` caps the worker pool of independent per-instance work (the
-Stage II validation-loss probe). Results are always collected in submission
-order, so the thread count never changes outputs.
+``UGLM_THREADS`` caps the worker pool of ``ordered_map``, which no module
+of the package calls any more. Results come back in submission order.
 """
 
 from __future__ import annotations

@@ -70,10 +70,6 @@ def datasets_equal(a, b):
             return False
         if not np.array_equal(x.node_features, y.node_features):
             return False
-        if (x.edge_features is None) != (y.edge_features is None):
-            return False
-        if x.edge_features is not None and not np.array_equal(x.edge_features, y.edge_features):
-            return False
     return True
 
 

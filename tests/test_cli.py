@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import pathlib
@@ -11,7 +13,10 @@ import pytest
 import uglm
 from uglm.cli import main
 from uglm.gradcheck import CheckResult
-from uglm.persist import load_checkpoint, save_checkpoint
+from uglm.graphdata import save_dataset
+from uglm.persist import load_checkpoint, param_fingerprint, save_checkpoint
+from uglm.pretrain import encoder_from_checkpoint
+from uglm.synthgen import generate_domain, suite_spec
 
 DESK_CONFIG = {
     "encoder": {"num_layers": 2, "hidden_dim": 16},
@@ -65,7 +70,8 @@ def adapter_encoder(tmp_path_factory, suite_dir, config_path):
 
 
 def test_synth_writes_loadable_suite(suite_dir):
-    files = sorted(p.name for p in suite_dir.iterdir())
+    # loads by other tests of this module may have added .jsonl.pack sidecars
+    files = sorted(p.name for p in suite_dir.iterdir() if p.suffix != ".pack")
     assert len(files) == 10
     assert "easy.jsonl" in files and "hard.emb" in files
 
@@ -245,6 +251,55 @@ def test_projector_without_encoder_fingerprint_exits_1(pipeline, suite_dir, tmp_
     assert rc == 1
     err = capsys.readouterr().err
     assert str(bare) in err and str(pipeline["encoder"]) in err and "fingerprint" in err
+
+
+def test_pretrain_records_each_domains_data(pipeline, suite_dir):
+    recorded = load_checkpoint(pipeline["encoder"]).metadata["domain_data"]
+    assert sorted(recorded) == ["easy", "edges", "graphs", "hard", "medium"]
+    for domain, record in recorded.items():
+        digests = {
+            kind: hashlib.sha256((suite_dir / f"{domain}.{ext}").read_bytes()).hexdigest()
+            for kind, ext in (("graphs", "jsonl"), ("embeddings", "emb"))
+        }
+        header = json.loads((suite_dir / f"{domain}.jsonl").read_text().splitlines()[0])
+        classes = header["classes"]
+        assert record == {"sha256": digests, "feature_dim": 16, "text_dim": 16, "classes": classes}
+
+
+@pytest.mark.parametrize("command", ["align", "retrieval", "classification"])
+def test_data_with_other_dims_than_pretraining_exits_1(
+    pipeline, config_path, suite_dir, tmp_path, capsys, command
+):
+    data = tmp_path / "data"
+    shutil.copytree(suite_dir, data)
+    narrow, _ = generate_domain(dataclasses.replace(suite_spec("easy", 4), feature_dim=8))
+    save_dataset(narrow, data / "easy.jsonl", data / "easy.emb")
+    argv = {
+        "align": ["align", "--config", str(config_path), "--out", str(tmp_path / "p.ckpt"),
+                  "--metrics", str(tmp_path / "m.csv")],
+        "retrieval": ["eval", "--mode", "retrieval", "--pool", "20"],
+        "classification": ["eval", "--mode", "classification",
+                           "--projector", str(pipeline["projector"])],
+    }[command]
+    rc = main([*argv, "--data", str(data), "--encoder", str(pipeline["encoder"])])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(pipeline["encoder"]) in err and str(data / "easy.jsonl") in err
+    assert "(16, 16)" in err and "(8, 16)" in err
+
+
+def test_encoder_without_domain_data_is_accepted(pipeline, suite_dir, tmp_path):
+    ckpt = load_checkpoint(pipeline["encoder"])
+    del ckpt.metadata["domain_data"]
+    bare = tmp_path / "bare.ckpt"
+    save_checkpoint(ckpt, bare)
+    rc = main([
+        "eval", "--encoder", str(bare), "--projector", str(pipeline["projector"]),
+        "--data", str(suite_dir), "--mode", "classification",
+    ])
+    assert rc == 0  # the projector's encoder fingerprint ignores metadata
+    encoders = [encoder_from_checkpoint(load_checkpoint(p))[0] for p in (bare, pipeline["encoder"])]
+    assert param_fingerprint(encoders[0].params) == param_fingerprint(encoders[1].params)
 
 
 def test_resolved_config_echo_and_override_precedence(config_path, suite_dir, tmp_path, capsys):

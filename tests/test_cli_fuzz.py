@@ -1,8 +1,9 @@
 """Mutation fuzzing of every file the CLI reads.
 
 Each example changes one thing in a tiny two-domain suite -- one field of
-one JSONL record, one embedding header field, or one checkpoint metadata
-entry or tensor -- and runs the commands that read it. Whatever the
+one JSONL record, one embedding header field, one byte, the length, a
+tensor or a metadata entry of a ``.jsonl.pack`` sidecar, or one checkpoint
+metadata entry or tensor -- and runs the commands that read it. Whatever the
 mutation, ``cli.main`` must return an exit code: only ``UglmError`` and
 ``OSError`` may end a command, and ``main`` turns both into codes.
 """
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from uglm.cli import main
 from uglm.graphdata import EMBEDDING_MAGIC, save_dataset
-from uglm.persist import load_checkpoint, save_checkpoint
+from uglm.persist import Checkpoint, decode_checkpoint, encode_checkpoint, load_checkpoint, save_checkpoint
 from uglm.synthgen import DomainSpec, generate_domain
 
 DOMAINS = (("alpha", "node"), ("beta", "graph"))
@@ -109,6 +110,24 @@ def _mutate_embedding_header(draw, path: Path) -> None:
     path.write_bytes(bytes(blob))
 
 
+def _mutate_pack(draw, path: Path) -> None:
+    blob = path.read_bytes()
+    action = draw(st.sampled_from(["flip", "truncate", "drop", "metadata"]))
+    if action == "flip":
+        at = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1 :]
+    elif action == "truncate":
+        blob = blob[: draw(st.integers(0, len(blob) - 1))]
+    else:  # re-encoded, so the container checksum is valid again
+        pack = decode_checkpoint(blob, path)
+        if action == "drop":
+            del pack.tensors[draw(st.sampled_from(sorted(pack.tensors)))]
+        else:
+            pack.metadata[draw(st.sampled_from(sorted(pack.metadata)))] = draw(JSON_VALUES)
+        blob = encode_checkpoint(Checkpoint(pack.metadata, pack.tensors))
+    path.write_bytes(blob)
+
+
 def _mutate_checkpoint(draw, path: Path) -> None:
     ckpt = load_checkpoint(path)
     if draw(st.booleans()):
@@ -136,9 +155,9 @@ def _mutate_checkpoint(draw, path: Path) -> None:
     save_checkpoint(ckpt, path)
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    target=st.sampled_from(["jsonl", "embedding", "encoder", "projector"]),
+    target=st.sampled_from(["jsonl", "embedding", "pack", "encoder", "projector"]),
     domain=st.sampled_from([name for name, _ in DOMAINS]),
     data=st.data(),
 )
@@ -152,6 +171,8 @@ def test_one_mutation_never_escapes_cli_main(tiny, target, domain, data):
             _mutate_jsonl(data.draw, work / "data" / f"{domain}.jsonl")
         elif target == "embedding":
             _mutate_embedding_header(data.draw, work / "data" / f"{domain}.emb")
+        elif target == "pack":
+            _mutate_pack(data.draw, work / "data" / f"{domain}.jsonl.pack")
         else:
             _mutate_checkpoint(data.draw, work / f"{target}.ckpt")
         for argv in _commands(tiny, work, target):

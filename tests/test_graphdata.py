@@ -1,4 +1,5 @@
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import datasets_equal
 
+from uglm import graphdata
 from uglm.errors import EmptyDataError, ParseError, ValidationError
 from uglm.graphdata import (
     DomainDataset,
@@ -18,11 +20,11 @@ from uglm.graphdata import (
     Splits,
     iterate_epochs,
     load_dataset,
-    load_embeddings,
     save_dataset,
     save_embeddings,
-    validate_graph,
 )
+from uglm.persist import Checkpoint, decode_checkpoint, encode_checkpoint
+from uglm.synthgen import DomainSpec, generate_benchmark_suite, generate_domain
 
 
 def make_instance(domain="d0", num_nodes=3, target=None, label=0, text_index=0, seed=0):
@@ -93,15 +95,16 @@ def test_reserialize_reload_is_equal(tmp_path):
 
 def test_roundtrip_with_edge_features_and_null_label(tmp_path):
     ds = make_dataset(n=3)
-    rng = np.random.default_rng(9)
-    ds.instances[0].edge_features = rng.normal(size=(len(ds.instances[0].edges), 2))
     ds.instances[1].label = None
-    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
-    save_dataset(ds, gp, ep)
+    rows = [[0.5, -1.0]] * len(ds.instances[0].edges)
+    gp, ep = _saved_with_line_edit(tmp_path, 2, ds, edge_features=rows)
     loaded = load_dataset(gp, ep)
-    assert datasets_equal(ds, loaded)
-    assert loaded.instances[0].edge_features.shape == (4, 2)
+    assert datasets_equal(ds, loaded)  # edge features are accepted, then dropped
     assert loaded.instances[1].label is None
+    gp, ep = _saved_with_line_edit(tmp_path, 2, ds, edge_features=rows[:-1])
+    with pytest.raises(ValidationError) as exc:
+        load_dataset(gp, ep)
+    assert f"{gp}:2:" in str(exc.value) and "edge_features rows 3 != edge count 4" in str(exc.value)
 
 
 def test_flat_node_features_rejected(tmp_path):
@@ -116,10 +119,11 @@ def test_flat_node_features_rejected(tmp_path):
         load_dataset(gp, ep)
 
 
-def _saved_with_line_edit(tmp_path, lineno, **fields):
-    """Save a 2-instance dataset, then overwrite fields of one JSONL line."""
+def _saved_with_line_edit(tmp_path, lineno, ds=None, **fields):
+    """Save a dataset (2 node-task instances by default), then overwrite
+    fields of one JSONL line."""
     gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
-    save_dataset(make_dataset(n=2), gp, ep)
+    save_dataset(make_dataset(n=2) if ds is None else ds, gp, ep)
     lines = gp.read_text().splitlines()
     record = json.loads(lines[lineno - 1])
     record.update(fields)
@@ -157,30 +161,30 @@ def test_class_count_is_capped(tmp_path):
 
 
 def test_non_finite_embedding_row_names_path_and_row(tmp_path):
+    gp, path = _saved_with_line_edit(tmp_path, 1)
     table = np.ones((3, 2))
     table[2, 1] = np.inf
-    path = tmp_path / "t.emb"
     save_embeddings(table, path)
     with pytest.raises(ParseError) as exc:
-        load_embeddings(path)
+        load_dataset(gp, path)
     assert str(path) in str(exc.value) and "row 2" in str(exc.value)
 
 
 def test_embedding_roundtrip_is_exact_float32(tmp_path):
+    gp, path = _saved_with_line_edit(tmp_path, 1)
     rng = np.random.default_rng(1)
     table = rng.normal(size=(4, 3)).astype(np.float32).astype(np.float64)
-    path = tmp_path / "t.emb"
     save_embeddings(table, path)
-    back = load_embeddings(path)
+    back = load_dataset(gp, path).text_embeddings
     assert back.dtype == np.float64
     assert np.array_equal(back, table)
 
 
 def test_embedding_bad_magic(tmp_path):
-    path = tmp_path / "bad.emb"
+    gp, path = _saved_with_line_edit(tmp_path, 1)
     path.write_bytes(b"NOTEMB\x01" + b"\x00" * 16)
     with pytest.raises(ParseError):
-        load_embeddings(path)
+        load_dataset(gp, path)
 
 
 def test_malformed_record_reports_line_number(tmp_path):
@@ -237,30 +241,178 @@ def test_split_overlap_rejected(tmp_path):
     assert "two splits" in str(exc.value)
 
 
-# -------------------------------------------------------------- validate_graph
+# ------------------------------------------------------------- validation
 
 
-def test_validate_graph_clean_instance():
-    assert validate_graph(make_instance()) == []
+def test_validate_graph_clean_instance(tmp_path):
+    ds = make_dataset(n=1)
+    gp, ep = _saved_with_line_edit(tmp_path, 2, ds)
+    assert datasets_equal(ds, load_dataset(gp, ep))
 
 
-def test_validate_graph_target_node_out_of_range():
-    bad = make_instance(target=NodeTarget(node=3))
-    problems = validate_graph(bad)
-    assert len(problems) == 1 and "target node 3" in problems[0]
+def test_validate_graph_target_node_out_of_range(tmp_path):
+    gp, ep = _saved_with_line_edit(tmp_path, 2, target={"node": 3})
+    with pytest.raises(ValidationError) as exc:
+        load_dataset(gp, ep)
+    assert str(exc.value) == f"{gp}:2: target node 3 not in [0,3)"
 
 
-def test_validate_graph_target_edge_missing():
-    bad = make_instance(target=EdgeTarget(edge=(0, 2)))
-    problems = validate_graph(bad)
-    assert len(problems) == 1 and "target edge" in problems[0]
+def test_validate_graph_target_edge_missing(tmp_path):
+    gp, ep = _saved_with_line_edit(tmp_path, 3, make_dataset(n=2, task="edge"), target={"edge": [0, 2]})
+    with pytest.raises(ValidationError) as exc:
+        load_dataset(gp, ep)
+    assert str(exc.value) == f"{gp}:3: target edge (0, 2) not in the edge list"
 
 
-def test_validate_graph_collects_all_violations():
-    bad = make_instance(target=NodeTarget(node=9))
-    bad.edges.append((7, 0))
-    problems = validate_graph(bad, num_classes=1, num_texts=1)
-    assert len(problems) == 2
+def test_validate_graph_collects_all_violations(tmp_path):
+    edges = [[0, 1], [1, 0], [7, 0]]
+    gp, ep = _saved_with_line_edit(
+        tmp_path, 3, edges=edges, target={"node": 9}, label=5, text_index=2
+    )
+    with pytest.raises(ValidationError) as exc:
+        load_dataset(gp, ep)
+    assert str(exc.value) == (
+        f"{gp}:3: edge 2 = (7,0) has endpoints outside [0,3); target node 9 not in [0,3); "
+        "label 5 not in [0,2); text_index 2 not in [0,2)"
+    )
+
+
+# ------------------------------------------------------------ pack sidecar
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    """How often load_dataset has parsed a JSONL file."""
+    calls = []
+    parse = graphdata._parse_jsonl
+
+    def counted(lines, path):
+        calls.append(path)
+        return parse(lines, path)
+
+    monkeypatch.setattr(graphdata, "_parse_jsonl", counted)
+    return calls
+
+
+def _pack_of(gp):
+    return gp.with_name(gp.name + ".pack")
+
+
+def _cold_and_warm(gp, ep, parse_count):
+    """Load from the JSONL (writing the sidecar), then from the sidecar."""
+    cold = load_dataset(gp, ep)
+    assert len(parse_count) == 1 and _pack_of(gp).is_file()
+    warm = load_dataset(gp, ep)
+    assert len(parse_count) == 1, "the second load parsed the JSONL again"
+    parse_count.clear()
+    return cold, warm
+
+
+def test_pack_path_equals_jsonl_path_on_suite_domains(tmp_path, parse_count):
+    written = generate_benchmark_suite(str(tmp_path), 4)
+    for gp, ep in written.values():
+        cold, warm = _cold_and_warm(tmp_path / os.path.basename(gp), ep, parse_count)
+        assert datasets_equal(cold, warm)
+        assert not warm.instances[0].node_features.flags.writeable
+        assert (warm.graph_path, warm.sha256) == (cold.graph_path, cold.sha256)
+
+
+def test_pack_path_equals_jsonl_path_on_a_wide_domain(tmp_path, parse_count):
+    spec = DomainSpec(
+        domain="wide", task="edge", num_instances=120, num_classes=10, nodes_min=75,
+        nodes_max=150, feature_dim=32, text_dim=24, feature_noise=0.5, text_noise=0.5,
+        label_noise=0.1, seed=3,
+    )
+    ds, _ = generate_domain(spec)
+    gp, ep = tmp_path / "wide.jsonl", tmp_path / "wide.emb"
+    save_dataset(ds, gp, ep)
+    cold, warm = _cold_and_warm(gp, ep, parse_count)
+    assert datasets_equal(ds, cold) and datasets_equal(cold, warm)
+
+
+def _flip_byte(pack, other):
+    blob = bytearray(pack.read_bytes())
+    blob[len(blob) // 2] ^= 0x40
+    pack.write_bytes(bytes(blob))
+
+
+def _truncate(pack, other):
+    pack.write_bytes(pack.read_bytes()[:-100])
+
+
+def _bump_version(pack, other):
+    old = decode_checkpoint(pack.read_bytes(), pack)
+    meta = {**old.metadata, "pack_version": old.metadata["pack_version"] + 1}
+    pack.write_bytes(encode_checkpoint(Checkpoint(meta, old.tensors)))
+
+
+def _copy_other_domain(pack, other):
+    pack.write_bytes(_pack_of(other).read_bytes())
+
+
+def _rewrite_jsonl(pack, other):
+    save_dataset(make_dataset(n=5, seed=11), pack.with_suffix(""), pack.with_suffix("").with_suffix(".emb"))
+
+
+@pytest.mark.parametrize(
+    "spoil", [_flip_byte, _truncate, _bump_version, _copy_other_domain, _rewrite_jsonl]
+)
+def test_spoiled_sidecar_is_reparsed(tmp_path, parse_count, spoil):
+    gp, ep = tmp_path / "a.jsonl", tmp_path / "a.emb"
+    other = tmp_path / "b.jsonl"
+    save_dataset(make_dataset(n=4, task="edge"), gp, ep)
+    save_dataset(make_dataset(domain="b", n=3, seed=5), other, tmp_path / "b.emb")
+    load_dataset(gp, ep)
+    load_dataset(other, tmp_path / "b.emb")
+    spoil(_pack_of(gp), other)
+    parse_count.clear()
+    loaded = load_dataset(gp, ep)
+    assert parse_count == [gp]
+    _pack_of(gp).unlink()
+    assert datasets_equal(loaded, load_dataset(gp, ep))  # what the JSONL alone gives
+    parse_count.clear()
+    load_dataset(gp, ep)
+    assert parse_count == []  # the rewritten sidecar is used again
+
+
+def test_directory_in_place_of_sidecar_means_parse_only(tmp_path, parse_count):
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    ds = make_dataset(n=3)
+    save_dataset(ds, gp, ep)
+    _pack_of(gp).mkdir()
+    for _ in range(2):
+        assert datasets_equal(ds, load_dataset(gp, ep))
+    assert len(parse_count) == 2 and _pack_of(gp).is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.emb", "d.jsonl", "d.jsonl.pack"]
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    ds = make_dataset(n=3)
+    save_dataset(ds, gp, ep)
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(graphdata.os, "replace", refuse)
+    assert datasets_equal(ds, load_dataset(gp, ep))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.emb", "d.jsonl"]
+
+
+def test_shrunken_embedding_table_is_caught_on_the_pack_path(tmp_path, parse_count):
+    ds = make_dataset(n=4)
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    save_dataset(ds, gp, ep)
+    load_dataset(gp, ep)
+    save_embeddings(ds.text_embeddings[:2], ep)
+    parse_count.clear()
+    with pytest.raises(ValidationError) as from_pack:
+        load_dataset(gp, ep)
+    assert parse_count == []
+    _pack_of(gp).unlink()
+    with pytest.raises(ValidationError) as from_jsonl:
+        load_dataset(gp, ep)
+    assert str(from_pack.value) == str(from_jsonl.value) == f"{gp}:4: text_index 2 not in [0,2)"
 
 
 # ------------------------------------------------------------------ batching
