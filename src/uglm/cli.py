@@ -116,7 +116,13 @@ def _from_checkpoint(convert, path):
 
 
 def _load_encoder(path, datasets: list[DomainDataset]):
-    """A Stage I checkpoint's encoder and adapter; known domains must keep their dims."""
+    """A Stage I checkpoint's encoder and adapter, and how the loaded data
+    differs from the data it was pretrained on.
+
+    Known domains must keep their dims. Domains whose file digests differ
+    from the recorded ones, and domains the checkpoint does not record, are
+    listed under ``changed_domains`` and ``new_domains``; neither is an error.
+    """
 
     def checked(ckpt):
         known = ckpt.metadata.get("domain_data", {})
@@ -131,7 +137,14 @@ def _load_encoder(path, datasets: list[DomainDataset]):
                     f"domain {ds.domain!r} was pretrained with (feature_dim, text_dim) "
                     f"{dims[ds.domain]}, but {ds.graph_path} has {have}"
                 )
-        return encoder_from_checkpoint(ckpt)
+        drift = {
+            "changed_domains": [
+                ds.domain for ds in datasets
+                if ds.domain in known and known[ds.domain].get("sha256") != ds.sha256
+            ],
+            "new_domains": [ds.domain for ds in datasets if ds.domain not in known],
+        }
+        return (*encoder_from_checkpoint(ckpt), drift)
 
     return _from_checkpoint(checked, path)
 
@@ -200,7 +213,7 @@ def _cmd_align(args) -> int:
         }
     )
     datasets = _discover_datasets(args.data)
-    encoder, _ = _load_encoder(args.encoder, datasets)
+    encoder, _, drift = _load_encoder(args.encoder, datasets)
     state, head = align_loop(run_config.align, datasets, encoder)
     ckpt = projector_to_checkpoint(
         state.projector,
@@ -215,7 +228,7 @@ def _cmd_align(args) -> int:
     )
     save_checkpoint(ckpt, args.out)
     export_metrics([row.as_tuple() for row in state.metrics], args.metrics)
-    _echo({"steps": state.step, "metrics_rows": len(state.metrics)})
+    _echo({"steps": state.step, "metrics_rows": len(state.metrics), **drift})
     return 0
 
 
@@ -233,7 +246,7 @@ def _cmd_eval(args) -> int:
         }
     )
     datasets = _discover_datasets(args.data)
-    encoder, adapter = _load_encoder(args.encoder, datasets)
+    encoder, adapter, drift = _load_encoder(args.encoder, datasets)
     results: dict[str, dict] = {}
     if args.mode == "retrieval":
         rng = np.random.default_rng(args.seed)
@@ -272,7 +285,7 @@ def _cmd_eval(args) -> int:
             results[ds.domain] = {"accuracy": accuracy, "macro_f1": macro_f1}
         if skipped:
             results["skipped_domains"] = skipped
-    _echo({"results": results})
+    _echo({"results": results, **drift})
     return 0
 
 

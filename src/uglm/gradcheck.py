@@ -5,6 +5,12 @@ composite (all three task granularities), the contrastive loss w.r.t.
 graph rows and adapter parameters, the frozen-head instance loss w.r.t.
 projector parameters, and the weighted multi-domain objective w.r.t.
 projector parameters with the weights held constant.
+
+Every check differences its function entry by entry (central, eps 1e-5).
+Each evaluation runs only what depends on the perturbed entry: the encoder
+check builds a trial's ``GraphBatch`` once and runs ``forward`` on it, and
+the contrastive check evaluates the loss alone (``dr_clip_forward``, the
+forward ``dr_clip_loss`` calls) under the trial's pair weights.
 """
 
 from __future__ import annotations
@@ -22,11 +28,18 @@ from .align import (
     domain_mean_gradient,
     instance_loss,
 )
-from .encoder import MultiScaleEncoder, encoder_backward, task_representation
+from .encoder import GraphBatch, MultiScaleEncoder, encoder_backward, forward
 from .errors import GradientCheckError
 from .graphdata import Batch, DomainDataset, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, Splits
 from .numcore import ParamSet, finite_difference_gradient
-from .pretrain import DomainCenters, TextAdapter, build_domain_weights, dr_clip_loss
+from .pretrain import (
+    DomainCenters,
+    TextAdapter,
+    build_domain_weights,
+    dr_clip_forward,
+    dr_clip_loss,
+    pair_weights,
+)
 
 GRADCHECK_TOLERANCE = 1e-6
 
@@ -86,18 +99,19 @@ def _random_instance(
 
 
 def _sample_smooth_encoder_case(rng: np.random.Generator, kind: str):
-    """Encoder + instance whose hidden pre-activations avoid the ReLU kink."""
+    """Encoder and batch of one instance whose hidden pre-activations avoid the
+    ReLU kink, with the forward cache that proved it."""
     for _ in range(64):
         n = int(rng.integers(2, 7))
         d_in = int(rng.integers(1, 5))
         d = int(rng.integers(2, 9))
         layers = int(rng.integers(1, 4))
         enc = MultiScaleEncoder.initialize(d_in, d, layers, rng)
-        g = _random_instance(rng, n, d_in, kind)
-        _, cache = task_representation(g, enc)
+        batch = GraphBatch.build([_random_instance(rng, n, d_in, kind)], d_in)
+        _, cache = forward(batch, enc)
         margins = [float(np.abs(pre).min()) for _, _, pre in cache.layers[:-1]]
         if not margins or min(margins) > _KINK_MARGIN:
-            return enc, g
+            return enc, batch, cache
     raise GradientCheckError("could not sample a kink-free encoder configuration")
 
 
@@ -106,14 +120,13 @@ def check_encoder_gradients(seed: int, trials: int) -> CheckResult:
     worst = 0.0
     for trial in range(trials):
         kind = ("node", "edge", "graph")[trial % 3]
-        enc, g = _sample_smooth_encoder_case(rng, kind)
+        enc, batch, cache = _sample_smooth_encoder_case(rng, kind)
         probe = rng.normal(size=enc.hidden_dim)
 
-        def f(ps, g=g, enc=enc, probe=probe):
-            x, _ = task_representation(g, enc.with_params(ps))
-            return float(probe @ x)
+        def f(ps, batch=batch, enc=enc, probe=probe):  # the batch's structure is reused
+            x, _ = forward(batch, enc.with_params(ps))
+            return float(probe @ x[0])
 
-        _, cache = task_representation(g, enc)
         analytic = encoder_backward(cache, probe)
         numeric = finite_difference_gradient(f, enc.params)
         worst = max(worst, _gated_rel_error(analytic, numeric))
@@ -143,13 +156,14 @@ def check_contrastive_gradients(seed: int, trials: int) -> CheckResult:
         tau = (1.0, 0.07)[trial % 2]
 
         result = dr_clip_loss(x, t, ids, weights, tau, adapter)
+        wg, wt = pair_weights(ids, weights)  # the differences below evaluate the loss only
         fd_x = finite_difference_gradient(
-            lambda ps: dr_clip_loss(ps["x"], t, ids, weights, tau, adapter).loss,
+            lambda ps: dr_clip_forward(ps["x"], t, wg, wt, tau, adapter).loss,
             ParamSet({"x": x}),
         )
         worst = max(worst, _gated_rel_error(ParamSet({"x": result.grad_x}), fd_x))
         fd_adapter = finite_difference_gradient(
-            lambda ps: dr_clip_loss(x, t, ids, weights, tau, adapter.with_params(ps)).loss,
+            lambda ps: dr_clip_forward(x, t, wg, wt, tau, adapter.with_params(ps)).loss,
             adapter.params(),
         )
         worst = max(worst, _gated_rel_error(result.grad_adapter, fd_adapter))

@@ -43,6 +43,7 @@ from .numcore import ParamSet
 
 CHECKPOINT_MAGIC = b"UGCKPT\x01"
 CHECKPOINT_VERSION = 1
+DIGEST_SIZE = 32
 
 METRICS_HEADER = "step,domain,loss,grad_norm,smoothed,weight"
 LOSS_LOG_HEADER = "epoch,mean_loss"
@@ -116,16 +117,18 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 class _Cursor:
-    """Bounds-checked reader; any overrun is a truncation error."""
+    """Bounds-checked reader of the structure, which ends where the checksum
+    starts; any overrun is a truncation error naming the file and the byte."""
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    def __init__(self, data: memoryview, path, start: int):
+        self.data, self.path = data, path
+        self.pos, self.end = start, len(data) - DIGEST_SIZE
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def take(self, n: int) -> memoryview:
+        if self.pos + n > self.end:
             raise TruncatedFileError(
-                f"file ends at byte {len(self.data)} but structure needs {self.pos + n}"
+                f"{self.path}: file ends at byte {len(self.data)} but its structure needs "
+                f"{self.pos + n} bytes and a {DIGEST_SIZE}-byte checksum"
             )
         out = self.data[self.pos : self.pos + n]
         self.pos += n
@@ -146,12 +149,12 @@ def decode_checkpoint(data: bytes, path) -> Checkpoint:
         raise TruncatedFileError(f"{path}: shorter than the container magic")
     if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic bytes")
-    if len(data) < len(CHECKPOINT_MAGIC) + 4 + 4 + 4 + 32:
+    if len(data) < len(CHECKPOINT_MAGIC) + 4 + 4 + 4 + DIGEST_SIZE:
         raise TruncatedFileError(f"{path}: shorter than an empty container")
-    body = memoryview(data)[len(CHECKPOINT_MAGIC) : -32]  # slices of it copy nothing
-    stored_digest = data[-32:]
+    view = memoryview(data)  # slices of it copy nothing
+    stored_digest = data[-DIGEST_SIZE:]
 
-    cur = _Cursor(body)
+    cur = _Cursor(view, path, len(CHECKPOINT_MAGIC))
     version = cur.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise UnsupportedVersionError(f"{path}: container version {version} not supported")
@@ -169,10 +172,10 @@ def decode_checkpoint(data: bytes, path) -> Checkpoint:
         start = cur.pos
         cur.take(8 * math.prod(dims))
         spans.append((name_bytes, dims, start, cur.pos))
-    if cur.pos != len(body):
-        raise TruncatedFileError(f"{path}: {len(body) - cur.pos} unexpected trailing bytes")
+    if cur.pos != cur.end:
+        raise TruncatedFileError(f"{path}: {cur.end - cur.pos} unexpected trailing bytes")
 
-    if hashlib.sha256(body).digest() != stored_digest:
+    if hashlib.sha256(view[len(CHECKPOINT_MAGIC) : cur.end]).digest() != stored_digest:
         raise ChecksumError(f"{path}: payload checksum mismatch")
 
     try:
@@ -187,7 +190,7 @@ def decode_checkpoint(data: bytes, path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: tensor name is not valid UTF-8") from exc
         if name in tensors:
             raise CheckpointFormatError(f"{path}: duplicate tensor name {name!r}")
-        flat = np.frombuffer(body[start:end], dtype="<f8")
+        flat = np.frombuffer(view[start:end], dtype="<f8")
         tensors[name] = flat.astype(np.float64).reshape(dims)
     return Checkpoint(metadata=metadata, tensors=tensors, version=version)
 

@@ -203,18 +203,56 @@ class DrClipResult:
     grad_adapter: ParamSet | None = None
 
 
-def _weighted_infonce_direction(
-    logits: np.ndarray, pair_weights: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean -log(e^{s_ii} / sum_j w_ij e^{s_ij}) and its logits gradient."""
-    n = logits.shape[0]
+def pair_weights(domain_ids: list[str], weights: DomainWeights) -> tuple[np.ndarray, np.ndarray]:
+    """Negative weights of every (i, j) pair of a batch: graph->text, text->graph."""
+    for d in domain_ids:
+        if d not in weights.index:
+            raise ContractError(f"domain {d!r} missing from the weight matrices")
+    idx = np.array([weights.index[d] for d in domain_ids])
+    return weights.w_graph[np.ix_(idx, idx)], weights.w_text[np.ix_(idx, idx)]
+
+
+def _weighted_lse(logits: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """log sum_j w_ij e^{s_ij} of every row."""
     m = logits.max(axis=1, keepdims=True)
-    z = (pair_weights * np.exp(logits - m)).sum(axis=1)
-    lse = m[:, 0] + np.log(z)
-    loss = float((lse - np.diag(logits)).mean())
-    p = pair_weights * np.exp(logits - lse[:, None])
-    d_logits = (p - np.eye(n)) / n
-    return loss, d_logits
+    return m[:, 0] + np.log((w * np.exp(logits - m)).sum(axis=1))
+
+
+@dataclass
+class DrClipForward:
+    """The loss of one batch and the intermediates its gradient reuses."""
+
+    loss: float
+    t_proj: np.ndarray
+    cos: np.ndarray
+    logits: np.ndarray
+    lse: tuple[np.ndarray, np.ndarray]  # per row: graph->text, text->graph
+
+
+def dr_clip_forward(
+    x: np.ndarray,
+    t: np.ndarray,
+    wg: np.ndarray,
+    wt: np.ndarray,
+    temperature: float,
+    adapter: TextAdapter | None = None,
+) -> DrClipForward:
+    """The loss alone, under fixed pair weights ``wg``, ``wt`` (see ``pair_weights``).
+
+    Mean over both directions of -log(e^{s_ii} / sum_j w_ij e^{s_ij}), with s
+    the cosine logits.
+    """
+    t_proj = adapter.apply(t) if adapter is not None else t
+    if t_proj.shape[1] != x.shape[1]:
+        raise DimensionError(
+            f"text rows have dim {t_proj.shape[1]} but graph rows have dim {x.shape[1]}"
+        )
+    cos = row_cosine_similarity(x, t_proj)
+    logits = cos / temperature
+    lse = _weighted_lse(logits, wg), _weighted_lse(logits.T, wt)
+    own = np.diag(logits)
+    loss = 0.5 * (float((lse[0] - own).mean()) + float((lse[1] - own).mean()))
+    return DrClipForward(loss, t_proj, cos, logits, lse)
 
 
 def dr_clip_loss(
@@ -243,24 +281,13 @@ def dr_clip_loss(
             f"batch size mismatch: x has {n} rows, t has {t_raw.shape[0]}, "
             f"{len(domain_ids)} domain ids"
         )
-    for d in domain_ids:
-        if d not in weights.index:
-            raise ContractError(f"domain {d!r} missing from the weight matrices")
+    wg, wt = pair_weights(domain_ids, weights)
+    fwd = dr_clip_forward(x, t_raw, wg, wt, temperature, adapter)
 
-    t_proj = adapter.apply(t_raw) if adapter is not None else t_raw
-    if t_proj.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"text rows have dim {t_proj.shape[1]} but graph rows have dim {x.shape[1]}"
-        )
-    cos = row_cosine_similarity(x, t_proj)
-    logits = cos / temperature
-    idx = np.array([weights.index[d] for d in domain_ids])
-    wg = weights.w_graph[np.ix_(idx, idx)]
-    wt = weights.w_text[np.ix_(idx, idx)]
-
-    loss_gt, d_gt = _weighted_infonce_direction(logits, wg)
-    loss_tg, d_tg = _weighted_infonce_direction(logits.T, wt)
-    loss = 0.5 * (loss_gt + loss_tg)
+    # d loss / d logits of each direction is (w_ij e^{s_ij - lse_i} - [i == j]) / n
+    t_proj, cos, logits = fwd.t_proj, fwd.cos, fwd.logits
+    d_gt = (wg * np.exp(logits - fwd.lse[0][:, None]) - np.eye(n)) / n
+    d_tg = (wt * np.exp(logits.T - fwd.lse[1][:, None]) - np.eye(n)) / n
     d_cos = 0.5 * (d_gt + d_tg.T) / temperature
 
     xnorm = row_norms(x, "x")
@@ -282,7 +309,7 @@ def dr_clip_loss(
             }
         )
         grad_t = grad_t_proj @ adapter.weight.T
-    return DrClipResult(loss=loss, grad_x=grad_x, grad_t=grad_t, grad_adapter=grad_adapter)
+    return DrClipResult(loss=fwd.loss, grad_x=grad_x, grad_t=grad_t, grad_adapter=grad_adapter)
 
 
 # ---------------------------------------------------------------- training

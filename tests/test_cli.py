@@ -288,18 +288,52 @@ def test_data_with_other_dims_than_pretraining_exits_1(
     assert "(16, 16)" in err and "(8, 16)" in err
 
 
-def test_encoder_without_domain_data_is_accepted(pipeline, suite_dir, tmp_path):
+def test_encoder_without_domain_data_is_accepted(pipeline, suite_dir, tmp_path, capsys):
     ckpt = load_checkpoint(pipeline["encoder"])
     del ckpt.metadata["domain_data"]
     bare = tmp_path / "bare.ckpt"
     save_checkpoint(ckpt, bare)
+    capsys.readouterr()
     rc = main([
         "eval", "--encoder", str(bare), "--projector", str(pipeline["projector"]),
         "--data", str(suite_dir), "--mode", "classification",
     ])
     assert rc == 0  # the projector's encoder fingerprint ignores metadata
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert last["new_domains"] == ["easy", "edges", "graphs", "hard", "medium"]  # none recorded
     encoders = [encoder_from_checkpoint(load_checkpoint(p))[0] for p in (bare, pipeline["encoder"])]
     assert param_fingerprint(encoders[0].params) == param_fingerprint(encoders[1].params)
+
+
+@pytest.mark.parametrize("command", ["align", "retrieval", "classification"])
+def test_changed_and_new_domain_data_are_listed_beside_results(
+    pipeline, config_path, suite_dir, tmp_path, capsys, command
+):
+    data = tmp_path / "data"
+    shutil.copytree(suite_dir, data)
+    changed, _ = generate_domain(suite_spec("easy", 5))  # same dims and sizes, other texts
+    save_dataset(changed, tmp_path / "easy.jsonl", tmp_path / "easy.emb")
+    shutil.copy(tmp_path / "easy.emb", data / "easy.emb")  # the graphs file is unchanged
+    extra, _ = generate_domain(dataclasses.replace(suite_spec("medium", 4), domain="extra"))
+    save_dataset(extra, data / "extra.jsonl", data / "extra.emb")
+    argv = {
+        "align": ["align", "--config", str(config_path), "--out", str(tmp_path / "p.ckpt"),
+                  "--metrics", str(tmp_path / "m.csv")],
+        "retrieval": ["eval", "--mode", "retrieval", "--pool", "20"],
+        "classification": ["eval", "--mode", "classification",
+                           "--projector", str(pipeline["projector"])],
+    }[command]
+    for directory, expected in ((suite_dir, ([], [])), (data, (["easy"], ["extra"]))):
+        capsys.readouterr()
+        rc = main([*argv, "--data", str(directory), "--encoder", str(pipeline["encoder"])])
+        assert rc == 0  # neither a changed nor a new domain is an error
+        last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (last["changed_domains"], last["new_domains"]) == expected
+        if command == "align":
+            rows = (tmp_path / "m.csv").read_text().splitlines()[1:]
+            assert (last["steps"], last["metrics_rows"]) == (5, len(rows))
+        else:
+            assert not {"changed_domains", "new_domains"} & set(last["results"])
 
 
 def test_resolved_config_echo_and_override_precedence(config_path, suite_dir, tmp_path, capsys):

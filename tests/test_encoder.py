@@ -5,10 +5,12 @@ from oracles import max_relative_error, reference_encoder_backward, reference_ta
 from uglm.encoder import (
     GRAD_CHUNK_ROWS,
     SEGMENT_CHUNK,
+    GraphBatch,
     MultiScaleEncoder,
     encode_batch,
     encode_node_graph,
     encoder_backward,
+    forward,
     task_representation,
 )
 from uglm.errors import ContractError, DimensionError
@@ -271,6 +273,47 @@ def test_batch_matches_per_instance_reference(monkeypatch, layers, chunk):
         assert_close(x[b], x_ref)
         summed += reference_encoder_backward(ref_cache, upstream[b]).flat
     assert_close(grads.flat, summed)
+
+
+@pytest.mark.parametrize("chunk", [SEGMENT_CHUNK, 8])
+def test_built_batch_reused_across_parameters_is_bitwise_fresh(monkeypatch, chunk):
+    # a chunk of 8 entries runs the chunked segment-sum plans, both widths
+    monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+    rng = np.random.default_rng(36)
+    enc_a = MultiScaleEncoder.initialize(3, 5, 2, rng)
+    enc_b = MultiScaleEncoder.initialize(3, 5, 2, rng)
+    instances = mixed_batch(rng, 3, big_nodes=40)
+    upstream = rng.normal(size=(len(instances), 5))
+    batch = GraphBatch.build(instances, 3)
+    for enc in (enc_a, enc_b, enc_a):
+        x, cache = forward(batch, enc)
+        x_fresh, fresh = encode_batch(instances, enc)
+        assert np.array_equal(x, x_fresh)
+        grads = encoder_backward(cache, upstream).flat
+        assert np.array_equal(grads, encoder_backward(fresh, upstream).flat)
+
+
+def test_chunked_segment_sums_keep_every_rows_summation_order(monkeypatch):
+    # the chunked plan sorts entries stably by id, so each sum adds in edge order
+    rng = np.random.default_rng(38)
+    enc = MultiScaleEncoder.initialize(3, 5, 3, rng)
+    instances = mixed_batch(rng, 3, big_nodes=GRAD_CHUNK_ROWS + 40)
+    upstream = rng.normal(size=(len(instances), 5))
+    results = []
+    for chunk in (1 << 30, 8):
+        monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+        x, cache = encode_batch(instances, enc)
+        results.append((x, encoder_backward(cache, upstream).flat))
+    (x_whole, g_whole), (x_chunked, g_chunked) = results
+    assert np.array_equal(x_whole, x_chunked)
+    assert np.array_equal(g_whole, g_chunked)
+
+
+def test_forward_rejects_a_batch_of_another_feature_dim():
+    rng = np.random.default_rng(37)
+    batch = GraphBatch.build(mixed_batch(rng, 2), 2)
+    with pytest.raises(DimensionError):
+        forward(batch, MultiScaleEncoder.initialize(3, 4, 1, rng))
 
 
 def test_row_does_not_depend_on_the_rest_of_the_batch():

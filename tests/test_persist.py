@@ -8,6 +8,7 @@ from uglm.errors import (
     TruncatedFileError,
     UnsupportedVersionError,
 )
+from uglm.encoder import MultiScaleEncoder
 from uglm.numcore import ParamSet
 from uglm.persist import (
     Checkpoint,
@@ -20,6 +21,7 @@ from uglm.persist import (
     parse_metrics,
     save_checkpoint,
 )
+from uglm.pretrain import encoder_to_checkpoint
 
 
 def small_checkpoint():
@@ -113,6 +115,21 @@ def test_truncated_file_is_length_error_not_checksum(tmp_path):
         path.write_bytes(blob[:cut])
         with pytest.raises(TruncatedFileError):
             load_checkpoint(path)
+
+
+def test_truncated_encoder_checkpoint_error_names_the_file(tmp_path):
+    path = tmp_path / "encoder.ckpt"
+    enc = MultiScaleEncoder.initialize(16, 16, 2, np.random.default_rng(0))
+    save_checkpoint(encoder_to_checkpoint(enc, None, {"seed": 0}), path)
+    full = path.stat().st_size
+    path.write_bytes(path.read_bytes()[:200])
+    with pytest.raises(TruncatedFileError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: file ends at byte 200 but its structure needs ")
+    assert message.endswith(" bytes and a 32-byte checksum")
+    needed = int(message.split("structure needs ")[1].split(" ")[0])
+    assert 200 - 32 < needed <= full - 32  # an absolute offset into the full file
 
 
 def test_param_fingerprint_tracks_content():

@@ -17,8 +17,10 @@ from uglm.pretrain import (
     compute_domain_centers,
     domain_distance_matrix,
     domain_weight_matrix,
+    dr_clip_forward,
     dr_clip_loss,
     evaluate_retrieval,
+    pair_weights,
     pretrain_loop,
 )
 from uglm.synthgen import DomainSpec, generate_domain
@@ -292,6 +294,23 @@ def test_unknown_domain_id_rejected():
     w = unit_weights(["a"])
     with pytest.raises(ContractError):
         dr_clip_loss(np.ones((1, 2)), np.ones((1, 2)), ["mystery"], w, 1.0)
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.07])
+@pytest.mark.parametrize("with_adapter", [False, True])
+@pytest.mark.parametrize("n_domains", [1, 2, 3])
+def test_loss_forward_is_the_loss_of_dr_clip_loss(tau, with_adapter, n_domains):
+    # the gradient check differences this forward under the batch's fixed pair weights
+    rng = np.random.default_rng(43 + n_domains)
+    domains = [f"d{i}" for i in range(n_domains)]
+    weights = build_domain_weights(centers_from({name: rng.normal(size=4) for name in domains}))
+    ids = [domains[i % n_domains] for i in rng.permutation(7)]
+    x = rng.normal(size=(7, 5))
+    adapter = TextAdapter.initialize(3, 5, rng) if with_adapter else None
+    t = rng.normal(size=(7, 3 if with_adapter else 5))
+    wg, wt = pair_weights(ids, weights)
+    expected = dr_clip_loss(x, t, ids, weights, tau, adapter).loss
+    assert dr_clip_forward(x, t, wg, wt, tau, adapter).loss == expected
 
 
 # ------------------------------------------------------------- pretrain loop
