@@ -6,6 +6,11 @@ head (per-domain instruction vector, per-domain label embeddings, and a
 shared mixing map) turns the tokens into logits over candidate labels,
 and the per-instance loss is cross-entropy. Only the projector trains.
 
+Both the encoder and the head are frozen, so a run encodes each domain's
+train split once (``encode_rows``) beside the head folded into per-domain
+logit maps (``FrozenHead.table``). Training, validation and classification
+then score rows through one batched scorer (``score_rows``).
+
 Per step, each active domain's mean loss yields a projector-gradient
 norm; a tracker smooths these (running mean during warmup, EMA after,
 inactive domains held); a temperature softmax over the smoothed values
@@ -22,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .encoder import MultiScaleEncoder, encode_batch, task_representation, uniform_init
-from .errors import ContractError, InvalidParameterError
+from .errors import ContractError, EmptyDataError, InvalidParameterError
 from .graphdata import Batch, DomainDataset, GraphInstance, iterate_epochs
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
 from .persist import Checkpoint
@@ -113,123 +118,147 @@ class FrozenHead:
             arrays[f"frozen_head.{domain}.labels"] = self.label_embeddings[domain]
         return ParamSet(arrays)
 
+    def table(self, domains: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Per-domain logit maps. The query is ``tokens @ M_top + instruction @
+        M_bot`` (``M_top``: the mixing map's first ``num_tokens * token_dim``
+        rows), so domain d's logits ``L_d @ query`` are ``tokens @ C_d.T + c_d``
+        with ``C_d = L_d M_top^T`` and ``c_d = L_d M_bot^T instruction_d``.
+        Returns the ``C_d`` of ``domains`` stacked and their ``c_d``, each
+        domain padded to the largest class count with zero rows and -inf."""
+        width = self.num_tokens * self.token_dim
+        top, bottom = self.mixing[:width], self.mixing[width:]
+        k = max((self.label_embeddings[d].shape[0] for d in domains), default=1)
+        weight = np.zeros((len(domains), k, width))
+        bias = np.full((len(domains), k), -np.inf)
+        for i, domain in enumerate(domains):
+            labels = self.label_embeddings[domain]
+            weight[i, : len(labels)] = labels @ top.T
+            bias[i, : len(labels)] = labels @ (self.instructions[domain] @ bottom)
+        return weight.reshape(-1, width), bias
 
-# ------------------------------------------------------------ instance loss
+
+# ------------------------------------------------------------- scored rows
 
 
 @dataclass
-class LossCache:
-    """Intermediates for the projector-only backward pass."""
+class EncodedRows:
+    """Labelled instances as the frozen encoder represents them. Each row ends
+    in a 1, the bias input: with the projector's flat parameters as an
+    (input_dim + 1, width) matrix W, ``rows @ W`` is ``x W + b``."""
 
-    x_star: np.ndarray
-    probs: np.ndarray
-    label: int
-    domain: str
-    loss: float
+    rows: np.ndarray
+    domain: np.ndarray  # index into domains
+    label: np.ndarray
+    domains: tuple[str, ...]
+    head_weight: np.ndarray  # FrozenHead.table(domains): (len(domains) * K, width)
+    head_bias: np.ndarray  # and (len(domains), K)
+    row_of: dict[tuple[DomainDataset, int], int] = field(default_factory=dict)
 
-
-def _loss_from_representation(
-    x_star: np.ndarray, domain: str, label: int, proj: Projector, head: FrozenHead
-) -> LossCache:
-    tokens_flat = x_star @ proj.weight + proj.bias
-    z = np.concatenate([tokens_flat, head.instructions[domain]])
-    query = z @ head.mixing
-    logits = head.label_embeddings[domain] @ query
-    shifted = logits - logits.max()
-    log_norm = np.log(np.exp(shifted).sum())
-    probs = np.exp(shifted - log_norm)
-    loss = float(log_norm - shifted[label])
-    return LossCache(x_star=x_star, probs=probs, label=label, domain=domain, loss=loss)
+    def take(self, items: list[tuple[DomainDataset, int]]) -> "EncodedRows":
+        """The rows of the (dataset, instance index) ``items``, in their order."""
+        idx = [self.row_of[item] for item in items]
+        head = (self.domains, self.head_weight, self.head_bias)
+        return EncodedRows(self.rows[idx], self.domain[idx], self.label[idx], *head)
 
 
-def _check_scorable(inst: GraphInstance, head: FrozenHead) -> None:
-    """The instance has a label that the frozen head can score."""
-    if inst.label is None:
-        raise ContractError(f"instance in domain {inst.domain!r} has no label")
-    if inst.domain not in head.instructions:
-        raise ContractError(f"frozen head has no domain {inst.domain!r}")
-    k = head.label_embeddings[inst.domain].shape[0]
-    if not (0 <= inst.label < k):
-        raise ContractError(f"label {inst.label} out of range for {k} candidates")
+def _checked_label(head: FrozenHead, domain: str, label: int | None, place: str) -> int:
+    """A label the frozen head can score; errors start with ``place``."""
+    if domain not in head.instructions:
+        raise ContractError(f"frozen head has no domain {domain!r}")
+    k = head.label_embeddings[domain].shape[0]
+    if label is None:
+        raise ContractError(f"{place}: instance has no label")
+    if not 0 <= label < k:
+        raise ContractError(f"{place}: label {label} out of range for {k} candidates")
+    return label
+
+
+def encode_rows(
+    encoder: MultiScaleEncoder, head: FrozenHead, parts: list[tuple[DomainDataset, list[int]]]
+) -> EncodedRows:
+    """The (dataset, instance indices) ``parts``, all checked before any is
+    encoded, then encoded in one batch per dataset. A bad label is named by
+    its file and line (instance i is line i + 2)."""
+    items = [(ds, i) for ds, indices in parts for i in indices]
+    labels = [
+        _checked_label(
+            head, ds.domain, ds.instances[i].label,
+            f"{ds.graph_path}:{i + 2}" if ds.graph_path else f"domain {ds.domain!r} instance {i}",
+        )
+        for ds, i in items
+    ]
+    domains = tuple(sorted({ds.domain for ds, _ in parts}))
+    x = np.concatenate([np.zeros((0, encoder.hidden_dim))] + [
+        encode_batch([ds.instances[i] for i in indices], encoder)[0] for ds, indices in parts if indices
+    ])
+    return EncodedRows(
+        np.hstack([x, np.ones((len(x), 1))]),
+        np.array([domains.index(ds.domain) for ds, _ in items], dtype=np.intp),
+        np.array(labels, dtype=np.intp), domains, *head.table(domains),
+        {item: row for row, item in enumerate(items)},
+    )
+
+
+def score_rows(encoded: EncodedRows, proj: Projector) -> tuple[np.ndarray, np.ndarray]:
+    """Label probabilities and cross-entropy of every row, in whole-batch
+    operations: ``tokens = x W + b``, then the logits ``tokens C_d^T + c_d``."""
+    every = np.arange(len(encoded.rows))
+    tokens = encoded.rows @ proj.params.flat.reshape(encoded.rows.shape[1], -1)
+    logits = (tokens @ encoded.head_weight.T).reshape(len(every), -1, encoded.head_bias.shape[1])
+    logits = logits[every, encoded.domain] + encoded.head_bias[encoded.domain]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    return np.exp(shifted - log_norm[:, None]), log_norm - shifted[every, encoded.label]
 
 
 def instance_loss(
-    inst: GraphInstance,
-    encoder: MultiScaleEncoder,
-    proj: Projector,
-    head: FrozenHead,
-) -> tuple[float, LossCache]:
-    """Cross-entropy of the frozen head over candidate labels."""
-    _check_scorable(inst, head)
+    inst: GraphInstance, encoder: MultiScaleEncoder, proj: Projector, head: FrozenHead
+) -> tuple[float, EncodedRows]:
+    """Cross-entropy of the frozen head over candidate labels, and the
+    instance's encoded row: ``score_rows`` on a batch of one."""
+    label = _checked_label(head, inst.domain, inst.label, f"domain {inst.domain!r}")
     x_star, _ = task_representation(inst, encoder)
-    cache = _loss_from_representation(x_star, inst.domain, inst.label, proj, head)
-    return cache.loss, cache
+    x, domains = np.append(x_star, 1.0)[None], (inst.domain,)
+    encoded = EncodedRows(x, np.zeros(1, np.intp), np.array([label]), domains, *head.table(domains))
+    return float(score_rows(encoded, proj)[1][0]), encoded
 
 
 # ------------------------------------------------------- per-domain losses
 
 
-class FrozenRepresentations:
-    """Task representations of a frozen encoder, each computed once.
-
-    Keyed by batch item (dataset, instance index). A stored row is what
-    ``task_representation`` returned for that item, so it stays exact only
-    while the encoder's parameters do not change: build one per run.
-    """
-
-    def __init__(self, encoder: MultiScaleEncoder) -> None:
-        self.encoder = encoder
-        self._rows: dict[tuple[DomainDataset, int], np.ndarray] = {}
-
-    def get(self, dataset: DomainDataset, index: int) -> np.ndarray:
-        key = (dataset, index)
-        row = self._rows.get(key)
-        if row is None:
-            row, _ = task_representation(dataset.instances[index], self.encoder, dataset.task)
-            self._rows[key] = row
-        return row
+def domain_losses(encoded: EncodedRows, loss: np.ndarray) -> np.ndarray:
+    """Mean of ``loss`` over each domain's rows (0 for a domain without rows)."""
+    sums = np.bincount(encoded.domain, weights=loss, minlength=len(encoded.domains))
+    return sums / np.maximum(np.bincount(encoded.domain, minlength=len(encoded.domains)), 1)
 
 
-def domain_losses(
-    batch: Batch,
-    reps: FrozenRepresentations,
-    proj: Projector,
-    head: FrozenHead,
-) -> tuple[dict[str, float], dict[str, list[LossCache]]]:
-    """Mean instance loss per domain present in the batch, and the caches
-    of each domain's instances in batch order."""
-    by_domain: dict[str, list[LossCache]] = {}
-    for dataset, index in batch.items:
-        inst = dataset.instances[index]
-        _check_scorable(inst, head)
-        cache = _loss_from_representation(
-            reps.get(dataset, index), inst.domain, inst.label, proj, head
-        )
-        by_domain.setdefault(cache.domain, []).append(cache)
-    losses = {
-        domain: float(np.mean([c.loss for c in group]))
-        for domain, group in sorted(by_domain.items())
-    }
-    return losses, by_domain
+def domain_mean_gradient(encoded: EncodedRows, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Token gradients e_i of each domain's mean loss, one per row, and the
+    norm of each domain's projector gradient (0 without rows). Row i's
+    gradient is ``outer(x_i, e_i)``, so a domain's squared norm is the sum of
+    ``(x_i . x_j)(e_i . e_j)`` over its pairs of rows (the Gram form of
+    per-example gradient norms). Each dot product and sum runs over one
+    domain's rows in row order, so other domains' rows do not change it."""
+    n, (size, k) = len(encoded.rows), encoded.head_bias.shape
+    every = np.arange(n)
+    resid = probs.copy()
+    resid[every, encoded.label] -= 1.0
+    spread = np.zeros((n, size, k))
+    spread[every, encoded.domain] = resid / np.bincount(encoded.domain)[encoded.domain, None]
+    grads = spread.reshape(n, -1) @ encoded.head_weight
+    i, j = np.nonzero(encoded.domain[:, None] == encoded.domain[None, :])
+    pairs = (encoded.rows[i] * encoded.rows[j]).sum(axis=1) * (grads[i] * grads[j]).sum(axis=1)
+    squared = np.bincount(encoded.domain[i], weights=pairs, minlength=size)
+    return grads, np.sqrt(np.maximum(squared, 0.0))
 
 
-def domain_mean_gradient(
-    caches: list[LossCache], proj: Projector, head: FrozenHead
+def projector_gradient(
+    proj: Projector, encoded: EncodedRows, grads: np.ndarray, weights: np.ndarray
 ) -> ParamSet:
-    """Projector gradient of the domain's mean loss."""
-    if not caches:
-        raise ContractError("cannot take a gradient over an empty domain group")
-    total = proj.params.zeros_like()
-    d_weight, d_bias = total["projector.weight"], total["projector.bias"]
-    for cache in caches:  # fixed order: deterministic reduction
-        d_logits = cache.probs.copy()
-        d_logits[cache.label] -= 1.0
-        d_query = head.label_embeddings[cache.domain].T @ d_logits
-        d_tokens = (head.mixing @ d_query)[: d_bias.size]
-        d_weight += np.outer(cache.x_star, d_tokens)
-        d_bias += d_tokens
-    total.flat *= 1.0 / len(caches)
-    return total
+    """Projector gradient of the sum over domains d of ``weights[d]``
+    times d's mean loss, from ``domain_mean_gradient``'s token gradients."""
+    flat = encoded.rows.T @ (grads * weights[encoded.domain, None])
+    return proj.params.with_flat(flat.ravel())
 
 
 # ---------------------------------------------------------- difficulty/EMA
@@ -367,34 +396,31 @@ def align_step(
     batch: Batch,
     state: AlignState,
     config: AlignConfig,
-    reps: FrozenRepresentations,
-    head: FrozenHead,
+    encoded: EncodedRows,
 ) -> AlignState:
-    """One curriculum step: losses, difficulties, weights, update on theta."""
-    losses, caches = domain_losses(batch, reps, state.projector, head)
-    grad_vectors = {
-        domain: domain_mean_gradient(group, state.projector, head)
-        for domain, group in sorted(caches.items())
-    }
-    observed = {domain: vec.norm() for domain, vec in grad_vectors.items()}
+    """One curriculum step over the batch's encoded rows: losses,
+    difficulties, weights, update on theta."""
+    rows = encoded.take(batch.items)
+    probs, loss = score_rows(rows, state.projector)
+    grads, norms = domain_mean_gradient(rows, probs)
+    active = np.flatnonzero(np.bincount(rows.domain, minlength=len(rows.domains)))
+    names = [rows.domains[d] for d in active]
+    observed = dict(zip(names, norms[active].tolist()))
     k = state.step + 1
     state.tracker = update_difficulty(state.tracker, k, observed)
     if config.weighting == "curriculum":
-        weights = curriculum_weights(state.tracker, losses.keys(), config.curriculum_temperature)
+        weights = curriculum_weights(state.tracker, names, config.curriculum_temperature)
     else:
-        weights = {d: 1.0 / len(losses) for d in sorted(losses)}
+        weights = {d: 1.0 / len(names) for d in names}
 
-    params = state.projector.params
-    total = params.zeros_like()
-    for domain in sorted(grad_vectors):
-        total.flat[:] += weights[domain] * grad_vectors[domain].flat
-    new_params, state.optimizer = optimizer_step(state.optimizer, params, total)
+    per_domain = np.array([weights.get(d, 0.0) for d in rows.domains])
+    total = projector_gradient(state.projector, rows, grads, per_domain)
+    new_params, state.optimizer = optimizer_step(state.optimizer, state.projector.params, total)
     state.projector = state.projector.with_params(new_params)
     state.step = k
-    for domain in sorted(losses):
-        smoothed = state.tracker.smoothed[domain]
+    for d, loss_d in zip(names, domain_losses(rows, loss)[active].tolist()):
         state.metrics.append(
-            MetricsRow(k, domain, losses[domain], observed[domain], smoothed, weights[domain])
+            MetricsRow(k, d, loss_d, observed[d], state.tracker.smoothed[d], weights[d])
         )
     return state
 
@@ -405,7 +431,8 @@ def align_loop(
     encoder: MultiScaleEncoder,
     head: FrozenHead | None = None,
 ) -> tuple[AlignState, FrozenHead]:
-    """Run total_steps curriculum steps over epoch-shuffled batches."""
+    """Run total_steps curriculum steps over epoch-shuffled batches; every
+    train instance is checked and encoded once, before the first step."""
     if head is None:
         head = FrozenHead.build(
             config.seed,
@@ -429,16 +456,17 @@ def align_loop(
     )
     if config.total_steps == 0:
         return state, head
-    total_train = sum(len(ds.splits.train) for ds in datasets)
-    per_epoch = (total_train + config.batch_size - 1) // config.batch_size
+    encoded = encode_rows(encoder, head, [(ds, ds.splits.train) for ds in datasets])
+    if not len(encoded.rows):
+        raise EmptyDataError("no training instances in any dataset")
+    per_epoch = (len(encoded.rows) + config.batch_size - 1) // config.batch_size
     epochs = (config.total_steps + per_epoch - 1) // per_epoch
     batches = islice(
         iterate_epochs(datasets, config.batch_size, epochs, np.random.default_rng(seeds[1])),
         config.total_steps,
     )
-    reps = FrozenRepresentations(encoder)
     for batch in batches:
-        state = align_step(batch, state, config, reps, head)
+        state = align_step(batch, state, config, encoded)
     return state, head
 
 
@@ -495,27 +523,16 @@ def projector_from_checkpoint(ckpt: Checkpoint) -> tuple[Projector, FrozenHead]:
 # --------------------------------------------------------------- evaluation
 
 
-def _split_indices(dataset: DomainDataset, split: str) -> list[int]:
+def _split_rows(
+    encoder: MultiScaleEncoder, head: FrozenHead, dataset: DomainDataset, split: str
+) -> EncodedRows:
+    """One split's instances, encoded in one batch."""
     if split not in ("train", "val", "test"):
         raise InvalidParameterError(f"unknown split {split!r}")
     indices = getattr(dataset.splits, split)
     if not indices:
         raise ContractError(f"split {split!r} of domain {dataset.domain!r} is empty")
-    return indices
-
-
-def _scored_split(
-    encoder: MultiScaleEncoder, proj: Projector, head: FrozenHead, dataset: DomainDataset, split: str
-) -> tuple[list[GraphInstance], list[LossCache]]:
-    """One split's instances and their head scores, encoded in one batch."""
-    instances = [dataset.instances[i] for i in _split_indices(dataset, split)]
-    for inst in instances:
-        _check_scorable(inst, head)
-    x, _ = encode_batch(instances, encoder)
-    return instances, [
-        _loss_from_representation(row, inst.domain, inst.label, proj, head)
-        for row, inst in zip(x, instances)
-    ]
+    return encode_rows(encoder, head, [(dataset, indices)])
 
 
 def mean_split_loss(
@@ -526,8 +543,7 @@ def mean_split_loss(
     split: str = "val",
 ) -> float:
     """Mean instance loss over one split; the validation-quality probe."""
-    _, scored = _scored_split(encoder, proj, head, dataset, split)
-    return float(np.mean([cache.loss for cache in scored]))
+    return float(np.mean(score_rows(_split_rows(encoder, head, dataset, split), proj)[1]))
 
 
 def evaluate_classification(
@@ -544,9 +560,9 @@ def evaluate_classification(
             f"frozen head has {k} labels for domain {dataset.domain!r}, "
             f"but the dataset has {dataset.num_classes} classes"
         )
-    instances, scored = _scored_split(encoder, proj, head, dataset, split)
-    preds = [int(np.argmax(cache.probs)) for cache in scored]  # argmax of the logits
-    return classification_metrics(preds, [inst.label for inst in instances], k)
+    rows = _split_rows(encoder, head, dataset, split)
+    probs, _ = score_rows(rows, proj)
+    return classification_metrics(np.argmax(probs, axis=1), rows.label, k)
 
 
 def classification_metrics(preds, labels, num_classes: int) -> tuple[float, float]:

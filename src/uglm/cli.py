@@ -247,7 +247,8 @@ def _cmd_eval(args) -> int:
     )
     datasets = _discover_datasets(args.data)
     encoder, adapter, drift = _load_encoder(args.encoder, datasets)
-    results: dict[str, dict] = {}
+    results: dict[str, dict] = {}  # one entry per scored domain
+    skipped: list[str] = []
     if args.mode == "retrieval":
         rng = np.random.default_rng(args.seed)
         for ds in datasets:
@@ -274,7 +275,6 @@ def _cmd_eval(args) -> int:
                 f"{args.projector}: projector input dim {projector.weight.shape[0]} does not "
                 f"match the hidden dim {encoder.hidden_dim} of {args.encoder}"
             )
-        skipped = []
         for ds in datasets:
             if ds.domain not in head.instructions:
                 skipped.append(ds.domain)
@@ -283,9 +283,7 @@ def _cmd_eval(args) -> int:
                 encoder, projector, head, ds, split=args.split
             )
             results[ds.domain] = {"accuracy": accuracy, "macro_f1": macro_f1}
-        if skipped:
-            results["skipped_domains"] = skipped
-    _echo({"results": results, **drift})
+    _echo({"results": results, "skipped_domains": skipped, **drift})
     return 0
 
 

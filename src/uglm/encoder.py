@@ -30,7 +30,7 @@ from itertools import accumulate, chain
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .graphdata import GraphInstance, TaskKind, target_kind
+from .graphdata import GraphInstance, target_kind
 from .numcore import Matrix, ParamSet
 
 HEAD_NAMES = {"node": "node_head", "edge": "edge_head", "graph": "graph_head"}
@@ -290,13 +290,8 @@ def encode_node_graph(
     return cache.h_node, cache.h_graph[0], replace(cache, heads=None)
 
 
-def task_representation(
-    g: GraphInstance, enc: MultiScaleEncoder, task: TaskKind | None = None
-) -> tuple[np.ndarray, BatchCache]:
+def task_representation(g: GraphInstance, enc: MultiScaleEncoder) -> tuple[np.ndarray, BatchCache]:
     """Same-dimension representation at the instance's target granularity."""
-    kind = target_kind(g.target)
-    if task is not None and task != kind:
-        raise ContractError(f"instance target is {kind!r} but task {task!r} was requested")
     x, cache = encode_batch([g], enc)
     return x[0], cache
 

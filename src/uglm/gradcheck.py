@@ -21,16 +21,17 @@ import numpy as np
 
 from .align import (
     FrozenHead,
-    FrozenRepresentations,
     Projector,
-    _loss_from_representation,
     domain_losses,
     domain_mean_gradient,
+    encode_rows,
     instance_loss,
+    projector_gradient,
+    score_rows,
 )
 from .encoder import GraphBatch, MultiScaleEncoder, encoder_backward, forward
 from .errors import GradientCheckError
-from .graphdata import Batch, DomainDataset, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, Splits
+from .graphdata import DomainDataset, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, Splits
 from .numcore import ParamSet, finite_difference_gradient
 from .pretrain import (
     DomainCenters,
@@ -191,13 +192,11 @@ def check_instance_loss_gradients(seed: int, trials: int) -> CheckResult:
     for trial in range(trials):
         kind = ("node", "edge", "graph")[trial % 3]
         enc, proj, head, g = _random_head_setup(rng, kind)
-        _, cache = instance_loss(g, enc, proj, head)  # the trial's one encode
-        analytic = domain_mean_gradient([cache], proj, head)
+        _, rows = instance_loss(g, enc, proj, head)  # the trial's one encode
+        probs, _ = score_rows(rows, proj)
+        analytic = projector_gradient(proj, rows, domain_mean_gradient(rows, probs)[0], np.ones(1))
         numeric = finite_difference_gradient(
-            lambda ps: _loss_from_representation(
-                cache.x_star, g.domain, g.label, proj.with_params(ps), head
-            ).loss,
-            proj.params,
+            lambda ps: score_rows(rows, proj.with_params(ps))[1][0], proj.params
         )
         worst = max(worst, _gated_rel_error(analytic, numeric))
     return CheckResult("instance_loss", trials, worst)
@@ -232,22 +231,18 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
                 text_embeddings=np.zeros((3, 2)),
                 splits=Splits(train=[0, 1, 2]),
             )
-        batch = Batch(
-            items=[(datasets["a"], 0), (datasets["a"], 1), (datasets["b"], 0), (datasets["b"], 2)],
-            active_domains=("a", "b"),
-        )
+        items = [(datasets["a"], 0), (datasets["a"], 1), (datasets["b"], 0), (datasets["b"], 2)]
         w_fixed = {"a": float(rng.uniform(0.2, 0.8))}
         w_fixed["b"] = 1.0 - w_fixed["a"]
 
-        reps = FrozenRepresentations(enc)  # only the projector is perturbed below
-        _, groups = domain_losses(batch, reps, proj, head)
-        analytic = proj.params.zeros_like()
-        for name in sorted(groups):
-            analytic.flat[:] += w_fixed[name] * domain_mean_gradient(groups[name], proj, head).flat
+        # the step's scorer and gradient; only the projector is perturbed below
+        rows = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets.values()]).take(items)
+        weights = np.array([w_fixed[name] for name in rows.domains])
+        probs, _ = score_rows(rows, proj)
+        analytic = projector_gradient(proj, rows, domain_mean_gradient(rows, probs)[0], weights)
 
         def objective(ps):
-            losses, _ = domain_losses(batch, reps, proj.with_params(ps), head)
-            return sum(w_fixed[name] * losses[name] for name in losses)
+            return float(weights @ domain_losses(rows, score_rows(rows, proj.with_params(ps))[1]))
 
         numeric = finite_difference_gradient(objective, proj.params)
         worst = max(worst, _gated_rel_error(analytic, numeric))

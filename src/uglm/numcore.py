@@ -134,13 +134,6 @@ class ParamSet:
                 return name
         raise IndexError(f"entry is outside a layout of {self.flat.size} entries")
 
-    def norm(self) -> float:
-        """L2 norm over all entries, summed one named array at a time."""
-        total = 0.0
-        for v in self._views.values():
-            total += float(np.sum(v * v))
-        return float(np.sqrt(total))
-
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

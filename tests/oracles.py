@@ -4,7 +4,8 @@ The loss oracles are direct per-pair transcriptions of the losses they
 check and deliberately share no code with the production implementations.
 The per-instance encoder below is the slow reference for the batched one:
 one graph at a time, neighbour sums by ``np.add.at``, weight gradients by
-one matmul each.
+one matmul each. The per-instance Stage II step is the reference for the
+vectorized one.
 """
 
 import math
@@ -12,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from uglm.align import MetricsRow, curriculum_weights, update_difficulty
 from uglm.encoder import HEAD_NAMES, task_representation
 from uglm.graphdata import target_kind
-from uglm.numcore import row_cosine_similarity
+from uglm.numcore import optimizer_step, row_cosine_similarity
 
 
 def brute_force_dr_clip(x, t, ids, w_graph, w_text, index, tau):
@@ -103,17 +105,70 @@ def text_cosine_margin(ds):
     return float(pos.mean() - neg.mean())
 
 
-class ReencodedRepresentations:
-    """Slow stand-in for ``uglm.align.FrozenRepresentations``: it encodes the
-    batch item again on every call, as Stage II did before it memoized the
-    frozen encoder's representations."""
+# ------------------------------------------------ per-instance Stage II step
 
-    def __init__(self, encoder):
-        self.encoder = encoder
 
-    def get(self, dataset, index):
-        x_star, _ = task_representation(dataset.instances[index], self.encoder, dataset.task)
-        return x_star
+def reference_instance_scores(x_star, domain, label, proj, head):
+    """Loss and label probabilities of one representation, through the
+    head's query vector."""
+    tokens = x_star @ proj.weight + proj.bias
+    query = np.concatenate([tokens, head.instructions[domain]]) @ head.mixing
+    logits = head.label_embeddings[domain] @ query
+    shifted = logits - logits.max()
+    log_norm = np.log(np.exp(shifted).sum())
+    return float(log_norm - shifted[label]), np.exp(shifted - log_norm)
+
+
+def reference_domain_gradient(group, proj, head):
+    """Projector gradient of a domain's mean loss, one outer product per
+    (representation, domain, label, probabilities) entry of ``group``."""
+    total = proj.params.zeros_like()
+    for x_star, domain, label, probs in group:
+        d_logits = probs.copy()
+        d_logits[label] -= 1.0
+        d_query = head.label_embeddings[domain].T @ d_logits
+        d_tokens = (head.mixing @ d_query)[: proj.bias.size]
+        total["projector.weight"][...] += np.outer(x_star, d_tokens)
+        total["projector.bias"][...] += d_tokens
+    total.flat *= 1.0 / len(group)
+    return total
+
+
+def reference_align_step(batch, state, config, encoder, head):
+    """Stage II's step one instance at a time: each batch item is encoded
+    alone, scored through the query vector, and its domain's gradient is
+    summed outer product by outer product. The tracker, weights and Adam
+    update are the package's own."""
+    groups, losses = {}, {}
+    for ds, index in batch.items:
+        inst = ds.instances[index]
+        x_star, _ = task_representation(inst, encoder)
+        loss, probs = reference_instance_scores(x_star, inst.domain, inst.label, state.projector, head)
+        groups.setdefault(inst.domain, []).append((x_star, inst.domain, inst.label, probs))
+        losses.setdefault(inst.domain, []).append(loss)
+    domains = sorted(groups)
+    grads = {d: reference_domain_gradient(groups[d], state.projector, head) for d in domains}
+    observed = {  # the L2 norm, summed one named array at a time
+        d: float(np.sqrt(sum(float(np.sum(v * v)) for _, v in grads[d].items()))) for d in domains
+    }
+    k = state.step + 1
+    state.tracker = update_difficulty(state.tracker, k, observed)
+    if config.weighting == "curriculum":
+        weights = curriculum_weights(state.tracker, domains, config.curriculum_temperature)
+    else:
+        weights = {d: 1.0 / len(domains) for d in domains}
+    params = state.projector.params
+    total = params.zeros_like()
+    for d in domains:
+        total.flat[:] += weights[d] * grads[d].flat
+    new_params, state.optimizer = optimizer_step(state.optimizer, params, total)
+    state.projector = state.projector.with_params(new_params)
+    state.step = k
+    for d in domains:
+        state.metrics.append(
+            MetricsRow(k, d, float(np.mean(losses[d])), observed[d], state.tracker.smoothed[d], weights[d])
+        )
+    return state
 
 
 # ------------------------------------------------- per-instance encoder

@@ -1,16 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import ReencodedRepresentations, max_relative_error
+from oracles import max_relative_error, reference_align_step
 from uglm.align import (
     AlignConfig,
     AlignState,
     DifficultyTracker,
     FrozenHead,
-    FrozenRepresentations,
     Projector,
     align_loop,
     align_step,
@@ -18,14 +18,17 @@ from uglm.align import (
     curriculum_weights,
     domain_losses,
     domain_mean_gradient,
+    encode_rows,
     evaluate_classification,
     instance_loss,
     mean_split_loss,
+    projector_gradient,
+    score_rows,
     update_difficulty,
 )
-from uglm.encoder import MultiScaleEncoder, encode_batch, task_representation
-from uglm.errors import ContractError
-from uglm.graphdata import Batch
+from uglm.encoder import MultiScaleEncoder, encode_batch
+from uglm.errors import ContractError, EmptyDataError
+from uglm.graphdata import Batch, iterate_epochs, load_dataset, save_dataset
 from uglm.numcore import OptimizerState, finite_difference_gradient
 from uglm.persist import export_metrics, param_fingerprint
 from uglm.synthgen import DomainSpec, generate_domain
@@ -49,6 +52,22 @@ def synth_domain(name="dom", task="node", classes=3, n=24, seed=0, label_noise=0
         )
     )
     return ds
+
+
+def encode_items(enc, head, items):
+    """The distinct (dataset, instance index) items encoded for ``EncodedRows.take``."""
+    parts: dict = {}
+    for ds, index in items:
+        parts.setdefault(ds, set()).add(index)
+    return encode_rows(enc, head, [(ds, sorted(indices)) for ds, indices in parts.items()])
+
+
+def fresh_state(proj, config):
+    return AlignState(
+        projector=proj,
+        optimizer=OptimizerState(config.learning_rate),
+        tracker=DifficultyTracker.create(config.total_steps, config.warmup_ratio, config.momentum),
+    )
 
 
 def small_setup(classes=3, d=6, m=2, d_l=4, seed=0):
@@ -95,7 +114,7 @@ def test_missing_label_contract_error():
     ds, enc, proj, head = small_setup()
     inst = ds.instances[0]
     inst.label = None
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="domain 'dom': instance has no label"):
         instance_loss(inst, enc, proj, head)
 
 
@@ -104,8 +123,9 @@ def test_projector_gradient_matches_finite_differences():
     for seed in range(4):
         ds, enc, proj, head = small_setup(seed=seed)
         inst = ds.instances[seed]
-        _, cache = instance_loss(inst, enc, proj, head)
-        analytic = domain_mean_gradient([cache], proj, head)
+        _, rows = instance_loss(inst, enc, proj, head)
+        grads, _ = domain_mean_gradient(rows, score_rows(rows, proj)[0])
+        analytic = projector_gradient(proj, rows, grads, np.ones(1))
 
         def f(ps):
             return instance_loss(inst, enc, proj.with_params(ps), head)[0]
@@ -124,30 +144,30 @@ def test_domain_batch_losses_are_within_domain_means():
     enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(5))
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(6))
     head = FrozenHead.build(7, {"a": 3, "b": 3}, 2, 4)
-    batch = Batch(
-        items=[(ds_a, 0), (ds_a, 1), (ds_b, 2)],
-        active_domains=("a", "b"),
-    )
-    losses, _ = domain_losses(batch, FrozenRepresentations(enc), proj, head)
-    assert set(losses) == {"a", "b"}
-    la0 = instance_loss(ds_a.instances[0], enc, proj, head)[0]
-    la1 = instance_loss(ds_a.instances[1], enc, proj, head)[0]
-    assert losses["a"] == pytest.approx((la0 + la1) / 2, abs=1e-15)
-    assert "empty" not in losses  # absent domains never zero-filled
+    items = [(ds_a, 0), (ds_a, 1), (ds_b, 2)]
+    encoded = encode_items(enc, head, items)
+    assert encoded.domains == ("a", "b")
+    rows = encoded.take(items)
+    losses = domain_losses(rows, score_rows(rows, proj)[1])
+    alone = [score_rows(encoded.take([item]), proj)[1][0] for item in items]
+    assert losses[0] == pytest.approx((alone[0] + alone[1]) / 2, abs=1e-15)
+    assert losses[1] == pytest.approx(alone[2], abs=1e-15)
 
 
 def test_gradient_norm_zero_when_mixing_zero():
     ds, enc, proj, head = small_setup()
     head.mixing = np.zeros_like(head.mixing)
-    _, cache = instance_loss(ds.instances[0], enc, proj, head)
-    assert domain_mean_gradient([cache], proj, head).norm() == 0.0
+    _, rows = instance_loss(ds.instances[0], enc, proj, head)
+    assert domain_mean_gradient(rows, score_rows(rows, proj)[0])[1][0] == 0.0
 
 
 def test_gradient_norm_invariant_under_duplication():
     ds, enc, proj, head = small_setup()
-    caches = [instance_loss(ds.instances[i], enc, proj, head)[1] for i in range(3)]
-    g_once = domain_mean_gradient(caches, proj, head).norm()
-    g_twice = domain_mean_gradient(caches + caches, proj, head).norm()
+    items = [(ds, i) for i in range(3)]
+    rows = encode_items(enc, head, items)
+    once, twice = rows.take(items), rows.take(items + items)
+    g_once = domain_mean_gradient(once, score_rows(once, proj)[0])[1][0]
+    g_twice = domain_mean_gradient(twice, score_rows(twice, proj)[0])[1][0]
     assert g_twice == pytest.approx(g_once, rel=1e-12)
 
 
@@ -285,14 +305,10 @@ def twin_domain_setup(seed=0, m=2, d_l=4):
 def test_identical_twin_domains_get_half_weight_every_step():
     _, _, enc, proj, head, batch = twin_domain_setup()
     config = AlignConfig(total_steps=5, batch_size=12, seed=0)
-    state = AlignState(
-        projector=proj,
-        optimizer=OptimizerState(config.learning_rate),
-        tracker=DifficultyTracker.create(5, config.warmup_ratio, config.momentum),
-    )
-    reps = FrozenRepresentations(enc)
+    state = fresh_state(proj, config)
+    encoded = encode_items(enc, head, batch.items)
     for _ in range(5):
-        state = align_step(batch, state, config, reps, head)
+        state = align_step(batch, state, config, encoded)
     for row in state.metrics:
         assert row.weight == 0.5
 
@@ -302,14 +318,10 @@ def test_equal_difficulty_update_matches_uniform_weighting_bitwise():
 
     def run(weighting):
         config = AlignConfig(total_steps=4, batch_size=12, seed=0, weighting=weighting)
-        state = AlignState(
-            projector=Projector(proj.params, proj.num_tokens, proj.token_dim),
-            optimizer=OptimizerState(config.learning_rate),
-            tracker=DifficultyTracker.create(4, config.warmup_ratio, config.momentum),
-        )
-        reps = FrozenRepresentations(enc)
+        state = fresh_state(Projector(proj.params, proj.num_tokens, proj.token_dim), config)
+        encoded = encode_items(enc, head, batch.items)
         for _ in range(4):
-            state = align_step(batch, state, config, reps, head)
+            state = align_step(batch, state, config, encoded)
         return param_fingerprint(state.projector.params)
 
     assert run("curriculum") == run("uniform")
@@ -326,12 +338,7 @@ def test_huge_temperature_behaves_as_uniform():
         active_domains=("a", "b"),
     )
     config = AlignConfig(total_steps=1, batch_size=10, seed=0, curriculum_temperature=1e9)
-    state = AlignState(
-        projector=proj,
-        optimizer=OptimizerState(config.learning_rate),
-        tracker=DifficultyTracker.create(1, config.warmup_ratio, config.momentum),
-    )
-    state = align_step(batch, state, config, FrozenRepresentations(enc), head)
+    state = align_step(batch, fresh_state(proj, config), config, encode_items(enc, head, batch.items))
     losses = {row.domain: row.loss for row in state.metrics}
     weighted = sum(row.weight * row.loss for row in state.metrics)
     assert abs(weighted - np.mean(list(losses.values()))) <= 1e-6
@@ -355,20 +362,16 @@ def test_weighted_objective_gradient_matches_finite_differences():
     enc = MultiScaleEncoder.initialize(4, 5, 1, np.random.default_rng(50))
     proj = Projector.initialize(5, 2, 4, np.random.default_rng(51))
     head = FrozenHead.build(52, {"a": 3, "b": 3}, 2, 4)
-    batch = Batch(items=[(ds_a, 0), (ds_a, 3), (ds_b, 1)], active_domains=("a", "b"))
-    fixed_weights = {"a": 0.7, "b": 0.3}
-    reps = FrozenRepresentations(enc)
+    items = [(ds_a, 0), (ds_a, 3), (ds_b, 1)]
+    rows = encode_items(enc, head, items).take(items)
+    fixed_weights = np.array([0.7, 0.3])  # domains "a", "b"
 
     def objective(ps):
-        p2 = proj.with_params(ps)
-        losses, _ = domain_losses(batch, reps, p2, head)
-        return sum(fixed_weights[d] * losses[d] for d in losses)
+        return float(fixed_weights @ domain_losses(rows, score_rows(rows, proj.with_params(ps))[1]))
 
     numeric = finite_difference_gradient(objective, proj.params)
-    _, groups = domain_losses(batch, reps, proj, head)
-    analytic = proj.params.zeros_like()
-    for domain, group in sorted(groups.items()):
-        analytic.flat[:] += fixed_weights[domain] * domain_mean_gradient(group, proj, head).flat
+    grads, _ = domain_mean_gradient(rows, score_rows(rows, proj)[0])
+    analytic = projector_gradient(proj, rows, grads, fixed_weights)
     assert max_relative_error(analytic, numeric) <= 1e-6
 
 
@@ -429,16 +432,30 @@ def mixed_task_domains(tasks):
 MIXED_TASK_PAIRS = [("node", "edge"), ("edge", "graph"), ("graph", "node")]
 
 
+def head_for(config, datasets):
+    return FrozenHead.build(
+        config.seed, {ds.domain: ds.num_classes for ds in datasets}, config.num_tokens, config.token_dim
+    )
+
+
 @pytest.mark.parametrize("weighting", ["curriculum", "uniform"])
 @pytest.mark.parametrize("tasks", MIXED_TASK_PAIRS)
 def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, weighting):
+    # The run's X, encoded once, against X encoded again before every step.
     datasets = mixed_task_domains(tasks)
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(40))
     # 12 steps of 8 over 20 training graphs: each graph is drawn about 5 times
     config = AlignConfig(total_steps=12, batch_size=8, seed=41, token_dim=8, weighting=weighting)
-    memoized, _ = align_loop(config, datasets, enc)
-    monkeypatch.setattr("uglm.align.FrozenRepresentations", ReencodedRepresentations)
-    reference, _ = align_loop(config, datasets, enc)
+    head = head_for(config, datasets)
+    memoized, _ = align_loop(config, datasets, enc, head)
+
+    def reencoding_step(batch, state, config, encoded):
+        fresh = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets])
+        assert np.array_equal(fresh.rows, encoded.rows)
+        return align_step(batch, state, config, fresh)
+
+    monkeypatch.setattr("uglm.align.align_step", reencoding_step)
+    reference, _ = align_loop(config, datasets, enc, head)
     assert param_fingerprint(memoized.projector.params) == param_fingerprint(
         reference.projector.params
     )
@@ -447,36 +464,110 @@ def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, w
 
 @pytest.mark.parametrize("tasks", MIXED_TASK_PAIRS)
 def test_each_training_graph_encoded_at_most_once_per_run(monkeypatch, tasks):
+    # exactly once: one encode_batch call per domain, over its train split
     datasets = mixed_task_domains(tasks)
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(42))
-    encoded: list[int] = []
+    calls: list[list[int]] = []
 
-    def counting(inst, *args, **kwargs):
-        encoded.append(id(inst))
-        return task_representation(inst, *args, **kwargs)
+    def counting(instances, *args):
+        calls.append([id(inst) for inst in instances])
+        return encode_batch(instances, *args)
 
-    monkeypatch.setattr("uglm.align.task_representation", counting)
+    monkeypatch.setattr("uglm.align.encode_batch", counting)
+    monkeypatch.setattr("uglm.align.task_representation", None)  # no per-instance encode
     # 12 steps of 8 draw every one of the 20 training graphs, most of them 4-5 times
     config = AlignConfig(total_steps=12, batch_size=8, seed=43, token_dim=8)
     for _ in range(2):  # a second run encodes again: nothing outlives a run
-        encoded.clear()
+        calls.clear()
         align_loop(config, datasets, enc)
-        train = {id(ds.instances[i]) for ds in datasets for i in ds.splits.train}
-        assert len(encoded) == len(set(encoded)) == len(train)
-        assert set(encoded) == train
+        assert calls == [[id(ds.instances[i]) for i in ds.splits.train] for ds in datasets]
 
 
-def test_instance_checks_run_on_memoized_items():
-    ds, enc, proj, head = small_setup()
-    reps = FrozenRepresentations(enc)
-    batch = Batch(items=[(ds, 0), (ds, 1)], active_domains=(ds.domain,))
-    domain_losses(batch, reps, proj, head)
-    ds.instances[1].label = 3
-    with pytest.raises(ContractError, match="label 3 out of range for 3 candidates"):
-        domain_losses(batch, reps, proj, head)
-    ds.instances[1].label = None
-    with pytest.raises(ContractError, match="has no label"):
-        domain_losses(batch, reps, proj, head)
+def test_instance_checks_run_on_memoized_items(monkeypatch):
+    # every train item is checked before the first step, sampled or not
+    ds, enc, _, _ = small_setup()
+    steps = []
+    monkeypatch.setattr("uglm.align.align_step", lambda *args: steps.append(args))
+    config = AlignConfig(total_steps=1, batch_size=1, seed=0, num_tokens=2, token_dim=4)
+    last = ds.splits.train[-1]
+    ds.instances[last].label = 3
+    with pytest.raises(ContractError, match=f"domain 'dom' instance {last}: label 3 out of range for 3"):
+        align_loop(config, [ds], enc)
+    ds.instances[last].label = None
+    with pytest.raises(ContractError, match=f"domain 'dom' instance {last}: instance has no label"):
+        align_loop(config, [ds], enc)
+    assert steps == []
+    ds.instances[ds.splits.val[0]].label = None  # held-out items are not Stage II's to check
+    ds.instances[last].label = 0
+    align_loop(config, [ds], enc)
+    assert len(steps) == 1
+
+
+def test_no_train_instances_is_empty_data_error():
+    ds, enc, _, _ = small_setup()
+    ds.splits.val += ds.splits.train
+    ds.splits.train = []
+    config = AlignConfig(total_steps=3, batch_size=2, seed=0, num_tokens=2, token_dim=4)
+    with pytest.raises(EmptyDataError, match="no training instances"):
+        align_loop(config, [ds], enc)
+
+
+def test_unlabelled_train_instance_names_file_and_line(tmp_path):
+    ds = synth_domain()
+    index = ds.splits.train[3]
+    ds.instances[index].label = None
+    save_dataset(ds, tmp_path / "dom.jsonl", tmp_path / "dom.emb")
+    loaded = load_dataset(tmp_path / "dom.jsonl", tmp_path / "dom.emb")
+    enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(0))
+    config = AlignConfig(total_steps=2, batch_size=4, seed=0, num_tokens=2, token_dim=4)
+    where = f"{tmp_path / 'dom.jsonl'}:{index + 2}"
+    with pytest.raises(ContractError, match=f"^{re.escape(where)}: instance has no label$"):
+        align_loop(config, [loaded], enc)
+
+
+# ------------------------------------------ against the per-instance step
+
+
+def relative_error(a, b):
+    """max |a - b| over the larger of max |a| and max |b|."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(np.abs(a).max(), np.abs(b).max())
+    return float(np.abs(a - b).max() / scale) if scale else 0.0
+
+
+@pytest.mark.parametrize("weighting", ["curriculum", "uniform"])
+def test_vectorized_step_matches_per_instance_step(weighting):
+    datasets = mixed_task_domains(("node", "edge", "graph"))
+    node, edge, graph = datasets
+    enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(44))
+    config = AlignConfig(
+        total_steps=14, batch_size=8, seed=45, token_dim=8, weighting=weighting,
+        curriculum_temperature=0.2,
+    )
+    head = head_for(config, datasets)
+    batches = list(iterate_epochs(datasets, 8, 3, np.random.default_rng(46)))  # 3 x 4 batches
+    t = [ds.splits.train for ds in datasets]
+    batches += [
+        # node and graph have one row each
+        Batch([(edge, t[1][0]), (node, t[0][2]), (edge, t[1][3]), (graph, t[2][1])], ()),
+        # duplicated items, in and across domains
+        Batch([(node, t[0][4]), (graph, t[2][0]), (node, t[0][4]), (node, t[0][4]),
+               (graph, t[2][0]), (edge, t[1][5])], ()),
+    ]
+    proj = Projector.initialize(enc.hidden_dim, config.num_tokens, config.token_dim,
+                                np.random.default_rng(47))
+    encoded = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets])
+    new, ref = fresh_state(proj, config), fresh_state(proj, config)
+    for batch in batches:
+        new = align_step(batch, new, config, encoded)
+        ref = reference_align_step(batch, ref, config, enc, head)
+    assert [(r.step, r.domain) for r in new.metrics] == [(r.step, r.domain) for r in ref.metrics]
+    assert {r.step for r in new.metrics} == set(range(1, 15))
+    for a, b in zip(new.metrics, ref.metrics):
+        for field in ("loss", "grad_norm", "smoothed", "weight"):
+            assert relative_error(getattr(a, field), getattr(b, field)) <= 1e-12, (a, b, field)
+    assert relative_error(new.projector.params.flat, ref.projector.params.flat) <= 1e-12
+    assert not np.array_equal(new.projector.params.flat, proj.params.flat)
 
 
 # --------------------------------------------------------------- evaluation

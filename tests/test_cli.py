@@ -13,7 +13,7 @@ import pytest
 import uglm
 from uglm.cli import main
 from uglm.gradcheck import CheckResult
-from uglm.graphdata import save_dataset
+from uglm.graphdata import load_dataset, save_dataset
 from uglm.persist import load_checkpoint, param_fingerprint, save_checkpoint
 from uglm.pretrain import encoder_from_checkpoint
 from uglm.synthgen import generate_domain, suite_spec
@@ -165,6 +165,43 @@ def test_domain_without_instances_exits_1(config_path, suite_dir, tmp_path, caps
     ])
     assert rc == 1
     assert f"{graph_path}:1:" in capsys.readouterr().err
+
+
+def test_unlabelled_train_instance_stops_align_before_writing(
+    pipeline, config_path, suite_dir, tmp_path, capsys
+):
+    data = tmp_path / "data"
+    shutil.copytree(suite_dir, data)
+    graph_path = data / "hard.jsonl"
+    ds = load_dataset(graph_path, data / "hard.emb")
+    index = ds.splits.train[-1]  # the last train instance: no step need sample it
+    ds.instances[index].label = None
+    save_dataset(ds, graph_path, data / "hard.emb")
+    out, metrics = tmp_path / "p.ckpt", tmp_path / "m.csv"
+    rc = main([
+        "align", "--config", str(config_path), "--data", str(data),
+        "--encoder", str(pipeline["encoder"]), "--out", str(out), "--metrics", str(metrics),
+    ])
+    assert rc == 1
+    assert f"error: {graph_path}:{index + 2}: instance has no label" in capsys.readouterr().err
+    assert not out.exists() and not metrics.exists()
+
+
+def test_classification_lists_skipped_domains_beside_results(pipeline, suite_dir, tmp_path, capsys):
+    ckpt = load_checkpoint(pipeline["projector"])  # a head without the "hard" domain
+    ckpt.metadata["head_domains"].remove("hard")
+    del ckpt.tensors["frozen_head.hard.instruction"], ckpt.tensors["frozen_head.hard.labels"]
+    partial = tmp_path / "partial.ckpt"
+    save_checkpoint(ckpt, partial)
+    capsys.readouterr()
+    rc = main([
+        "eval", "--encoder", str(pipeline["encoder"]), "--projector", str(partial),
+        "--data", str(suite_dir), "--mode", "classification",
+    ])
+    assert rc == 0
+    last = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert last["skipped_domains"] == ["hard"]
+    assert set(last["results"]) == {"easy", "edges", "graphs", "medium"}
 
 
 def _drop(tensors, name):

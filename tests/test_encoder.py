@@ -147,13 +147,6 @@ def test_graph_head_duplicated_concat_identity():
     assert np.array_equal(x, h_graph)
 
 
-def test_task_mismatch_contract_error():
-    enc = MultiScaleEncoder.initialize(2, 3, 1, np.random.default_rng(0))
-    g = random_instance(np.random.default_rng(1), 3, 2, "node")
-    with pytest.raises(ContractError):
-        task_representation(g, enc, task="edge")
-
-
 def test_all_granularities_share_dimension():
     rng = np.random.default_rng(7)
     enc = MultiScaleEncoder.initialize(3, 6, 2, rng)

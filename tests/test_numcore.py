@@ -254,7 +254,6 @@ def test_paramset_views_into_one_flat_vector():
     for _, view in ps.items():
         assert np.shares_memory(view, ps.flat)
         assert not view.flags.writeable
-    assert ps.norm() == pytest.approx(math.sqrt(2 * 1.0 + 2 * 9.0))
 
     vec = np.arange(4.0)
     rebound = ps.with_flat(vec)

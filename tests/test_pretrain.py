@@ -230,6 +230,28 @@ def test_weighted_loss_matches_brute_force():
         assert abs(res.loss - oracle) <= 1e-12
 
 
+def test_loss_with_distinct_graph_and_text_centers_matches_brute_force():
+    # graph and text centers differ, so each direction has its own weights
+    rng = np.random.default_rng(29)
+    domains = ["a", "b", "c"]
+    for _ in range(6):
+        centers = DomainCenters(
+            domains=domains,
+            graph_centers={d: rng.normal(size=3) for d in domains},
+            text_centers={d: rng.normal(size=3) for d in domains},
+            sample_counts={d: 1 for d in domains},
+        )
+        weights = build_domain_weights(centers)
+        assert np.abs(weights.w_graph - weights.w_text).max() > 0.05
+        n = int(rng.integers(3, 9))
+        ids = [domains[int(rng.integers(0, 3))] for _ in range(n)]
+        x = rng.normal(size=(n, 4))
+        t = rng.normal(size=(n, 4))
+        res = dr_clip_loss(x, t, ids, weights, 0.3)
+        oracle = brute_force_dr_clip(x, t, ids, weights.w_graph, weights.w_text, weights.index, 0.3)
+        assert abs(res.loss - oracle) <= 1e-12
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(31)
     worst_x = worst_adapter = 0.0

@@ -187,7 +187,7 @@ def test_hard_has_higher_untrained_contrastive_loss_than_easy():
     for name in ("easy", "hard"):
         ds, _ = generate_domain(suite_spec(name, DEFAULT_MASTER_SEED))
         idx = ds.splits.train[:100]
-        x = np.stack([task_representation(ds.instances[i], enc, ds.task)[0] for i in idx])
+        x = np.stack([task_representation(ds.instances[i], enc)[0] for i in idx])
         t = np.stack([ds.text_embeddings[ds.instances[i].text_index] for i in idx])
         ones = DomainWeights(
             [name], np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1))
