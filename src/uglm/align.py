@@ -26,7 +26,7 @@ from itertools import islice
 
 import numpy as np
 
-from .encoder import MultiScaleEncoder, encode_batch, task_representation, uniform_init
+from .encoder import MultiScaleEncoder, encode_packed, task_representation, uniform_init
 from .errors import ContractError, EmptyDataError, InvalidParameterError
 from .graphdata import Batch, DomainDataset, GraphInstance, iterate_epochs
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
@@ -180,16 +180,19 @@ def encode_rows(
     encoded, then encoded in one batch per dataset. A bad label is named by
     its file and line (instance i is line i + 2)."""
     items = [(ds, i) for ds, indices in parts for i in indices]
+    packed = [(ds.packed(), ds.task, indices) for ds, indices in parts]
     labels = [
         _checked_label(
-            head, ds.domain, ds.instances[i].label,
+            head, ds.domain, None if label == -1 else label,
             f"{ds.graph_path}:{i + 2}" if ds.graph_path else f"domain {ds.domain!r} instance {i}",
         )
-        for ds, i in items
+        for (ds, indices), (arrays, _, _) in zip(parts, packed)
+        for i, label in zip(indices, arrays["label"][indices].tolist())
     ]
     domains = tuple(sorted({ds.domain for ds, _ in parts}))
     x = np.concatenate([np.zeros((0, encoder.hidden_dim))] + [
-        encode_batch([ds.instances[i] for i in indices], encoder)[0] for ds, indices in parts if indices
+        encode_packed(arrays, indices, kind, encoder)[0]
+        for arrays, kind, indices in packed if indices
     ])
     return EncodedRows(
         np.hstack([x, np.ones((len(x), 1))]),

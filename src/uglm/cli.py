@@ -128,7 +128,7 @@ def _load_encoder(path, datasets: list[DomainDataset]):
         known = ckpt.metadata.get("domain_data", {})
         try:
             dims = {d: (int(known[d]["feature_dim"]), int(known[d]["text_dim"])) for d in known}
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:  # a list: IndexError
             raise ContractError(f"checkpoint domain_data is malformed: {exc!r}") from exc
         for ds in datasets:
             have = (ds.feature_dim, ds.text_dim)

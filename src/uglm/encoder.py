@@ -6,14 +6,19 @@ so Stage I makes one forward and one backward per batch. Mean-aggregator
 layers give node rows, mean pooling gives graph rows, and three task heads
 (one linear map 2d->d each, over the rows of its target kind) emit node-,
 edge- and graph-level representations of one dimension. Neighbour sums and
-pooling are flat-index ``np.bincount`` sums. The hand-derived backward is
-checked against finite differences and a per-instance reference in tests.
+pooling are segment sums (``_SegmentSum``): one flat ``np.bincount`` when
+small, a jagged-diagonal sum otherwise, with the same bits. The
+hand-derived backward is checked against finite differences and a
+per-instance reference in tests.
 
-Structure once, parameters many: ``GraphBatch.build`` does everything that
-depends on the graphs alone (stacking, edge shifts, in-degrees, head rows
-and targets, segment-sum plans) and ``forward(batch, enc)`` only the
-arithmetic, so a batch can be run under many parameter vectors, as the
-finite-difference check does. ``encode_batch`` builds and runs once.
+Structure once, parameters many: ``GraphBatch.from_packed`` gathers a
+batch straight from packed arrays (``graphdata.PACK_ARRAYS``) and does
+everything that depends on the graphs alone (node and edge range gathers,
+edge shifts, in-degrees, head rows and targets, segment-sum plans), and
+``forward(batch, enc)`` only the arithmetic, so a batch can be run under
+many parameter vectors, as the finite-difference check does.
+``encode_packed`` builds and runs once; ``encode_batch`` packs a list of
+``GraphInstance`` objects first, so both take one path.
 
 Conventions: weights multiply on the right (``h @ w``); every layer but the
 last (linear) is ReLU. Isolated nodes aggregate a zero neighbor mean; there
@@ -25,20 +30,21 @@ product over more rows may split its sum by thread).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .graphdata import GraphInstance, target_kind
+from .graphdata import GraphInstance, pack_instances, take_packed, target_kind
 from .numcore import Matrix, ParamSet
 
 HEAD_NAMES = {"node": "node_head", "edge": "edge_head", "graph": "graph_head"}
 
 # Rows per weight-gradient product; see the module docstring.
 GRAD_CHUNK_ROWS = 256
-# Entries per segment-sum bincount; see _segment_sum.
+# Entries (ids x width) up to which a segment sum is one bincount, and the
+# fewest ids a jagged-diagonal pass adds; see _SegmentSum.
 SEGMENT_CHUNK = 1 << 14
+JAGGED_MIN_IDS = 8
 
 
 def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -91,62 +97,64 @@ class MultiScaleEncoder:
 
 
 class _SegmentSum:
-    """Sum of ``rows[take[e]]`` per id ``segment[e]``, added in e order.
+    """Sum of ``rows[take[e]]`` per id ``segment[e]`` (``take`` None: row e),
+    added from 0.0 in e order, so the bits are those of one ``np.bincount``.
 
-    The plan is made once per row width and reused by every call. Up to
-    SEGMENT_CHUNK entries (ids x width) it is one ``np.bincount`` over a flat
-    index. Past that, the entries are sorted by id (stably) and summed a chunk
-    at a time, cut between ids: the allocator maps batch-sized temporaries
-    afresh on every call, which made the cost outgrow the edges. ``take``
-    None means every row, in order.
+    Up to SEGMENT_CHUNK entries (ids x width) it is that bincount over a flat
+    index. Past that it is a jagged-diagonal sum (Saad, *Iterative Methods
+    for Sparse Linear Systems*, 2003, 3.4), planned once for every width: with
+    the ids ordered by entry count, most first, pass k adds the k-th entry of
+    each id with more than k into a prefix of the output rows. Once fewer
+    than JAGGED_MIN_IDS ids are left (hubs), one ``np.add.at`` adds the rest
+    in pass order, which keeps each id's entry order.
     """
 
     def __init__(self, take: np.ndarray | None, segment: np.ndarray, num_segments: int):
         self.take, self.segment, self.num_segments = take, segment, num_segments
-        self._plans: dict[int, object] = {}
-        self._sorted: tuple[np.ndarray, np.ndarray] | None = None  # (take, segment) by id
+        self._flat: dict[int, np.ndarray] = {}
+        self._jagged: tuple | None = None
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
         width = rows.shape[1]
-        plan = self._plans.get(width)
-        if plan is None:
-            plan = self._plans[width] = self._plan(width)
-        if isinstance(plan, np.ndarray):
-            values = rows if self.take is None else rows[self.take]
-            sums = np.bincount(plan, values.ravel(), self.num_segments * width)
-            sums = sums.reshape(self.num_segments, width)
-            return sums.astype(np.float64, copy=False)  # int when there are no entries
-        take, segment = self._sorted
-        out = np.zeros((self.num_segments, width))
-        for start, stop, lo, hi in plan:
-            out[lo:hi] = _bincount_rows(rows[take[start:stop]], segment[start:stop] - lo, hi - lo)
-        return out
-
-    def _plan(self, width: int):
-        """A flat bincount index, or the chunks (start, stop, lo, hi) of the sorted entries."""
         if self.segment.size * width <= SEGMENT_CHUNK:
-            return _flat_index(self.segment, width)
-        if self._sorted is None:
-            order = np.argsort(self.segment, kind="stable")
-            self._sorted = order if self.take is None else self.take[order], self.segment[order]
-        segment = self._sorted[1]
-        step = max(1, SEGMENT_CHUNK // width)
-        bounds = sorted({0, segment.size, *np.searchsorted(segment, segment[step::step]).tolist()})
-        return [
-            (start, stop, int(segment[start]), int(segment[stop - 1]) + 1)
-            for start, stop in zip(bounds[:-1], bounds[1:])
-        ]
+            index = self._flat.get(width)
+            if index is None:
+                index = self._flat[width] = (self.segment[:, None] * width + np.arange(width)).ravel()
+            values = rows if self.take is None else rows[self.take]
+            sums = np.bincount(index, values.ravel(), self.num_segments * width)
+            return sums.reshape(self.num_segments, width).astype(np.float64, copy=False)  # int if empty
+        if self._jagged is None:
+            self._jagged = self._plan()
+        take, passes, tail, tail_rows, position = self._jagged
+        out = np.zeros((self.num_segments, width))
+        for start, stop in passes:
+            out[: stop - start] += rows[take[start:stop]]
+        if tail.size:
+            np.add.at(out, tail_rows, rows[tail])
+        return out[position]
+
+    def _plan(self) -> tuple:
+        """Entry rows in pass order, the passes' bounds, the tail, and each id's output row."""
+        counts = np.bincount(self.segment, minlength=self.num_segments)
+        position = np.empty_like(counts)
+        position[_stable_order(counts.max(initial=0) - counts)] = np.arange(self.num_segments)
+        order = _stable_order(self.segment)  # by id, each id's entries in e order
+        ids = self.segment[order]
+        rank = np.arange(ids.size) - (np.cumsum(counts) - counts)[ids]  # the pass of each entry
+        per_pass = np.bincount(rank)  # ids with more than k entries: non-increasing in k
+        bounds = np.concatenate([[0], np.cumsum(per_pass)])
+        slot = bounds[rank] + position[ids]
+        take, out_row = np.empty_like(order), np.empty_like(order)
+        take[slot] = order if self.take is None else self.take[order]
+        out_row[slot] = position[ids]
+        jagged = int(np.count_nonzero(per_pass >= JAGGED_MIN_IDS))
+        passes = list(zip(bounds[:jagged].tolist(), bounds[1 : jagged + 1].tolist()))
+        return take, passes, take[bounds[jagged] :], out_row[bounds[jagged] :], position
 
 
-def _flat_index(ids: np.ndarray, width: int) -> np.ndarray:
-    return (ids[:, None] * width + np.arange(width)).ravel()
-
-
-def _bincount_rows(values: np.ndarray, ids: np.ndarray, num_ids: int) -> np.ndarray:
-    """Row sums of ``values`` per id, added in row order by one flat ``np.bincount``."""
-    width = values.shape[1]
-    sums = np.bincount(_flat_index(ids, width), values.ravel(), num_ids * width)
-    return sums.reshape(num_ids, width)
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative ints; a radix sort for keys below 2^16."""
+    return np.argsort(keys.astype(np.uint16) if keys.size and keys.max() < 1 << 16 else keys, kind="stable")
 
 
 def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,13 +168,10 @@ def _rows_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 @dataclass
 class GraphBatch:
     """A batch's structure, built once; any number of forwards reuse it.
-
-    Graph b holds the stacked node rows offsets[b]:offsets[b + 1]. The edges
-    keep the batch's order, shifted by their graph's node offset.
-    """
+    Graph b's node rows follow graph b - 1's, and its edges keep their
+    order, shifted by its first row."""
 
     features: np.ndarray  # (n, input_dim)
-    offsets: np.ndarray
     graph_of: np.ndarray  # graph index of every node
     sizes: np.ndarray  # (B, 1) node count of every graph
     inv_deg: np.ndarray  # (n, 1) 1/in-degree, 1 for a node without in-edges
@@ -176,50 +181,39 @@ class GraphBatch:
     pool: _SegmentSum  # node rows summed per graph
 
     @classmethod
-    def build(cls, instances: list[GraphInstance], input_dim: int) -> "GraphBatch":
-        if not instances:
+    def from_packed(cls, arrays: dict[str, np.ndarray], rows, kinds) -> "GraphBatch":
+        """The batch of instances ``rows`` of the packed ``arrays``
+        (``graphdata.PACK_ARRAYS``), in order; ``kinds`` is their target
+        kind, one for all or one per row. Each graph's edges keep their order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if not rows.size:
             raise ContractError("cannot encode an empty batch")
-        feats = [np.asarray(g.node_features, dtype=np.float64) for g in instances]
-        for g, h in zip(instances, feats):
-            if h.shape != (g.num_nodes, input_dim):
-                raise DimensionError(
-                    f"node features {h.shape} do not match ({g.num_nodes} nodes, {input_dim})"
-                )
-        features = np.concatenate(feats) if len(feats) > 1 else feats[0]
-        sizes = [g.num_nodes for g in instances]
-        offsets = np.array([0, *accumulate(sizes)])
-        n = int(offsets[-1])
-        edge_counts = [len(g.edges) for g in instances]
-        ends = np.fromiter(
-            chain.from_iterable(chain.from_iterable(g.edges for g in instances)),
-            dtype=np.intp, count=2 * sum(edge_counts),
-        ).reshape(-1, 2) + np.repeat(offsets[:-1], edge_counts)[:, None]
+        batch = take_packed(arrays, rows)
+        offsets = batch["node_offsets"]
+        n, sizes = int(offsets[-1]), np.diff(offsets)
+        ends = batch["edges"] + np.repeat(offsets[:-1], np.diff(batch["edge_offsets"]))[:, None]
         src, dst = np.ascontiguousarray(ends.T)
         inv_deg = 1.0 / np.maximum(np.bincount(dst, minlength=n), 1)  # no in-edges: sums stay 0
-        graph_of = np.repeat(np.arange(len(instances)), sizes)
-
-        rows_of: dict[str, list[int]] = {}
-        for b, g in enumerate(instances):
-            rows_of.setdefault(target_kind(g.target), []).append(b)
+        graph_of = np.repeat(np.arange(rows.size), sizes)
+        targets, kinds = batch["target"] + offsets[:-1, None], np.broadcast_to(kinds, rows.shape)
         heads = []
         for kind in HEAD_NAMES:
-            if kind not in rows_of:
-                continue
-            rows = np.array(rows_of[kind], dtype=np.intp)
-            if kind == "node":
-                targets = offsets[rows] + [instances[b].target.node for b in rows]
-            elif kind == "edge":
-                pairs = np.array([instances[b].target.edge for b in rows], dtype=np.intp)
-                targets = offsets[rows][:, None] + pairs
-            else:
-                targets = None
-            heads.append((kind, rows, targets))
+            mine = np.flatnonzero(kinds == kind)
+            if mine.size:
+                at = targets[mine, 0] if kind == "node" else targets[mine] if kind == "edge" else None
+                heads.append((kind, mine, at))
         return cls(
-            features, offsets, graph_of, np.array(sizes)[:, None], inv_deg[:, None], heads,
+            batch["node_features"], graph_of, sizes[:, None], inv_deg[:, None], heads,
             gather=_SegmentSum(src, dst, n),
             scatter=_SegmentSum(dst, src, n),
-            pool=_SegmentSum(None, graph_of, len(instances)),
+            pool=_SegmentSum(None, graph_of, rows.size),
         )
+
+    @classmethod
+    def build(cls, instances: list[GraphInstance], input_dim: int) -> "GraphBatch":
+        """The batch of ``instances``, packed first."""
+        kinds = [target_kind(g.target) for g in instances]
+        return cls.from_packed(pack_instances(instances, input_dim), np.arange(len(instances)), kinds)
 
 
 @dataclass
@@ -270,6 +264,11 @@ def forward(batch: GraphBatch, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCac
         x[rows] = concat @ params[f"{name}.weight"] + params[f"{name}.bias"]
         heads.append(concat)
     return x, BatchCache(enc, batch, layers, h, h_graph, heads)
+
+
+def encode_packed(arrays: dict, rows, kinds, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCache]:
+    """Representations (B x d) of packed instances; see ``GraphBatch.from_packed``."""
+    return forward(GraphBatch.from_packed(arrays, rows, kinds), enc)
 
 
 def encode_batch(

@@ -31,7 +31,7 @@ from .align import (
 )
 from .encoder import GraphBatch, MultiScaleEncoder, encoder_backward, forward
 from .errors import GradientCheckError
-from .graphdata import DomainDataset, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, Splits
+from .graphdata import DomainDataset, GraphInstance, Splits, draw_target
 from .numcore import ParamSet, finite_difference_gradient
 from .pretrain import (
     DomainCenters,
@@ -82,20 +82,10 @@ def _random_instance(
     for v in range(1, n):
         parent = int(rng.integers(0, v))
         edges += [(parent, v), (v, parent)]
-    if kind == "node":
-        target = NodeTarget(node=int(rng.integers(0, n)))
-    elif kind == "edge":
-        target = EdgeTarget(edge=edges[int(rng.integers(0, len(edges)))])
-    else:
-        target = GraphTarget()
+    target = draw_target(kind, rng, n, edges)
+    feats = rng.normal(size=(n, d_in))
     return GraphInstance(
-        num_nodes=n,
-        edges=edges,
-        node_features=rng.normal(size=(n, d_in)),
-        target=target,
-        label=0,
-        text_index=0,
-        domain=domain,
+        num_nodes=n, edges=edges, node_features=feats, target=target, label=0, text_index=0, domain=domain
     )
 
 
@@ -224,12 +214,7 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
                 g.label = int(rng.integers(0, classes[name]))
                 instances.append(g)
             datasets[name] = DomainDataset(
-                domain=name,
-                task=kind,
-                num_classes=classes[name],
-                instances=instances,
-                text_embeddings=np.zeros((3, 2)),
-                splits=Splits(train=[0, 1, 2]),
+                name, kind, classes[name], instances, np.zeros((3, 2)), Splits(train=[0, 1, 2])
             )
         items = [(datasets["a"], 0), (datasets["a"], 1), (datasets["b"], 0), (datasets["b"], 2)]
         w_fixed = {"a": float(rng.uniform(0.2, 0.8))}

@@ -18,6 +18,10 @@ checked (one row per edge), then dropped. A parse is cached in the sidecar
 ``<name>.jsonl.pack``: a ``persist`` container of the ``PACK_ARRAYS``, keyed
 by the SHA-256 of the JSONL bytes and ``PACK_VERSION``. A missing, corrupt,
 stale or ill-shaped sidecar is rewritten, so deleting one is always safe.
+
+Batches are range gathers from the same arrays (``encoder.GraphBatch.
+from_packed``). A loaded domain builds its ``GraphInstance`` objects only
+when asked; one made of instances is packed whenever a stage starts.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence, Union
 
@@ -35,6 +40,7 @@ import numpy as np
 
 from .errors import (
     CheckpointError,
+    DimensionError,
     EmptyDataError,
     InvalidParameterError,
     ParseError,
@@ -89,6 +95,13 @@ def target_kind(target: Target) -> TaskKind:
     return "graph"
 
 
+def draw_target(kind: TaskKind, rng: np.random.Generator, num_nodes: int, edges: list) -> Target:
+    """A random target of ``kind``: one of the nodes, one of ``edges``, or the graph."""
+    if kind == "node":
+        return NodeTarget(node=int(rng.integers(0, num_nodes)))
+    return EdgeTarget(edge=edges[int(rng.integers(0, len(edges)))]) if kind == "edge" else GraphTarget()
+
+
 @dataclass(eq=False)
 class GraphInstance:
     """One graph with a task target, label, and text-embedding reference."""
@@ -114,20 +127,41 @@ class Splits:
 
 @dataclass(eq=False)
 class DomainDataset:
-    """All instances of one domain plus its text-embedding table."""
+    """All instances of one domain plus its text-embedding table. ``load_dataset``
+    passes ``instances=None`` and the file's ``PACK_ARRAYS`` as ``file_arrays``;
+    the instances are then built on first access."""
 
     domain: str
     task: TaskKind
     num_classes: int
-    instances: list[GraphInstance]
+    instances: list[GraphInstance] | None
     text_embeddings: np.ndarray
     splits: Splits
-    graph_path: str | None = None  # load_dataset sets these two
+    graph_path: str | None = None  # load_dataset sets these three
     sha256: dict[str, str] = field(default_factory=dict)  # "graphs" and "embeddings" files
+    file_arrays: dict[str, np.ndarray] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.instances is None:
+            del self.instances  # built by __getattr__ when first read
+
+    def __getattr__(self, name: str):
+        if name != "instances" or self.file_arrays is None:
+            raise AttributeError(name)
+        self.instances = _unpack(self.file_arrays, self.task, self.domain)
+        return self.instances
+
+    def packed(self) -> dict[str, np.ndarray]:
+        """The ``PACK_ARRAYS`` batches are built from: the file's own while no
+        instance has been built, else the instances packed now, edits and all."""
+        if "instances" not in vars(self):
+            return self.file_arrays
+        dim = np.shape(self.instances[0].node_features)[1] if self.instances else 0
+        return pack_instances(self.instances, dim)
 
     @property
     def feature_dim(self) -> int:
-        return int(self.instances[0].node_features.shape[1])
+        return int(self.packed()["node_features"].shape[1])
 
     @property
     def text_dim(self) -> int:
@@ -136,16 +170,81 @@ class DomainDataset:
 
 @dataclass(eq=False)
 class Batch:
-    """Sampled (dataset, instance index) pairs and the domains they cover."""
+    """Sampled (dataset, instance index) pairs."""
 
     items: list[tuple[DomainDataset, int]]
-    active_domains: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.items)
 
-    def instances(self) -> list[tuple[DomainDataset, GraphInstance]]:
-        return [(ds, ds.instances[idx]) for ds, idx in self.items]
+
+def _pack(feats: Sequence[np.ndarray], edges: Sequence[np.ndarray], scalars: np.ndarray, dim: int) -> dict:
+    """The PACK_ARRAYS of per-instance (n, dim) node rows, (E, 2) edges and
+    scalar rows [target u, target v, label (-1 for null), text index]."""
+    offsets = [np.cumsum([0] + [len(a) for a in arrays]) for arrays in (feats, edges)]
+    packed = (np.concatenate([np.zeros((0, dim)), *feats]), offsets[0],
+              np.concatenate([np.zeros((0, 2), np.int64), *edges]), offsets[1],
+              scalars[:, :2], scalars[:, 2], scalars[:, 3])
+    return dict(zip(PACK_ARRAYS, packed))
+
+
+def pack_instances(instances: Sequence[GraphInstance], input_dim: int) -> dict:
+    """The PACK_ARRAYS of ``instances``, as ``load_dataset`` decodes a file's."""
+    feats = [np.asarray(g.node_features, dtype=np.float64) for g in instances]
+    for g, h in zip(instances, feats):
+        if h.shape != (g.num_nodes, input_dim):
+            raise DimensionError(f"node features {h.shape} do not match ({g.num_nodes} nodes, {input_dim})")
+    edges = [np.fromiter(chain.from_iterable(g.edges), np.int64).reshape(-1, 2) for g in instances]
+    # target rows as the JSONL parser packs them: (u, v), (node, node) or (0, 0)
+    targets = [getattr(g.target, "edge", (getattr(g.target, "node", 0),) * 2) for g in instances]
+    scalars = np.array([(*target, -1 if g.label is None else g.label, g.text_index)
+                        for g, target in zip(instances, targets)], dtype=np.int64).reshape(-1, 4)
+    return _pack(feats, edges, scalars, input_dim)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices starts[i] ... starts[i] + lengths[i] - 1 of every i, in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def take_packed(arrays: dict, rows: np.ndarray) -> dict:
+    """The PACK_ARRAYS of instances ``rows`` of ``arrays``, in that order:
+    their node rows and edges are two range gathers."""
+    node_off, edge_off = arrays["node_offsets"], arrays["edge_offsets"]
+    sizes, counts = node_off[rows + 1] - node_off[rows], edge_off[rows + 1] - edge_off[rows]
+    taken = {k: arrays[k][rows] for k in ("target", "label", "text_index")}
+    taken["node_features"] = arrays["node_features"][_ranges(node_off[rows], sizes)]
+    taken["edges"] = arrays["edges"][_ranges(edge_off[rows], counts)]
+    offsets = [np.concatenate([[0], np.cumsum(lengths)]) for lengths in (sizes, counts)]
+    taken["node_offsets"], taken["edge_offsets"] = offsets
+    return taken
+
+
+def merge_packed(parts: Sequence[dict]) -> dict:
+    """One set of PACK_ARRAYS holding the instances of ``parts`` in order
+    (each ``text_index`` still points into its own part's table)."""
+    merged = {k: np.concatenate([p[k] for p in parts]) for k in PACK_ARRAYS if "offsets" not in k}
+    for key, of in (("node_offsets", "node_features"), ("edge_offsets", "edges")):
+        bases = np.cumsum([0] + [len(p[of]) for p in parts])
+        merged[key] = np.concatenate([p[key][:-1] + b for p, b in zip(parts, bases)] + [bases[-1:]])
+    return merged
+
+
+def _unpack(arrays: dict, task: TaskKind, domain: str) -> list[GraphInstance]:
+    """The instances of packed arrays: edge tuples in file order, feature row views."""
+    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
+    node_off, edge_off, pairs = node_off.tolist(), edge_off.tolist(), list(zip(*edges.T.tolist()))
+    return [
+        GraphInstance(
+            num_nodes=node_off[i + 1] - node_off[i], edges=pairs[edge_off[i] : edge_off[i + 1]],
+            node_features=feats[node_off[i] : node_off[i + 1]], text_index=text_index,
+            target=NodeTarget(u) if task == "node" else EdgeTarget((u, v)) if task == "edge"
+            else GraphTarget(),
+            domain=domain, label=None if lab == -1 else lab,
+        )
+        for i, ((u, v), lab, text_index) in enumerate(zip(target.tolist(), label.tolist(), text.tolist()))
+    ]
 
 
 # ------------------------------------------------------------- validation
@@ -230,14 +329,6 @@ def _decode_embeddings(blob: bytes, path) -> np.ndarray:
 # ------------------------------------------------------------- JSONL IO
 
 
-def _target_to_json(target: Target) -> dict:
-    if isinstance(target, NodeTarget):
-        return {"node": target.node}
-    if isinstance(target, EdgeTarget):
-        return {"edge": [target.edge[0], target.edge[1]]}
-    return {"graph": True}
-
-
 def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
     """The target's kind and packed row: (node, node), (u, v) or (0, 0)."""
     if not (isinstance(obj, dict) and len(obj) == 1 and obj.keys() <= set(TASK_KINDS)):
@@ -247,21 +338,8 @@ def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
     return kind, (u, v)
 
 
-def _instance_to_json(inst: GraphInstance, task: TaskKind) -> dict:
-    return {
-        "domain": inst.domain,
-        "task": task,
-        "num_nodes": inst.num_nodes,
-        "edges": [[u, v] for u, v in inst.edges],
-        "node_features": [[float(x) for x in row] for row in np.asarray(inst.node_features)],
-        "target": _target_to_json(inst.target),
-        "label": inst.label,
-        "text_index": inst.text_index,
-    }
-
-
 def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
-    """Write the JSONL + embedding pair; output bytes are deterministic."""
+    """Write the JSONL + embedding pair of ``ds.packed()``; output bytes are deterministic."""
     header = {
         "format": GRAPH_FORMAT_NAME,
         "version": GRAPH_FORMAT_VERSION,
@@ -270,9 +348,19 @@ def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
         "classes": ds.num_classes,
         "splits": {name: list(getattr(ds.splits, name)) for name in SPLIT_NAMES},
     }
+    feats, node_off, edges, edge_off, target, label, text = (ds.packed()[k] for k in PACK_ARRAYS)
+    node_off, edge_off = node_off.tolist(), edge_off.tolist()
     lines = [json.dumps(header, separators=(",", ":"))]
-    for inst in ds.instances:
-        lines.append(json.dumps(_instance_to_json(inst, ds.task), separators=(",", ":")))
+    for i, ((u, v), lab, text_index) in enumerate(zip(target.tolist(), label.tolist(), text.tolist())):
+        record = {
+            "domain": ds.domain, "task": ds.task, "num_nodes": node_off[i + 1] - node_off[i],
+            "edges": edges[edge_off[i] : edge_off[i + 1]].tolist(),
+            "node_features": feats[node_off[i] : node_off[i + 1]].tolist(),
+            "target": {"node": u} if ds.task == "node" else {"edge": [u, v]} if ds.task == "edge"
+            else {"graph": True},
+            "label": None if lab == -1 else lab, "text_index": text_index,
+        }
+        lines.append(json.dumps(record, separators=(",", ":")))
     with open(graph_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     save_embeddings(ds.text_embeddings, embedding_path)
@@ -367,11 +455,7 @@ def _parse_jsonl(lines: list[bytes], path) -> tuple[dict, dict]:
     if not rows:
         raise EmptyDataError(f"{path}:1: domain {header['domain']!r} has no instances")
     feats, edges, scalars = zip(*rows)
-    scalars = np.stack(scalars)
-    offsets = [np.cumsum([0] + [len(a) for a in arrays]) for arrays in (feats, edges)]
-    packed = (np.concatenate(feats), offsets[0], np.concatenate(edges), offsets[1],
-              scalars[:, :2], scalars[:, 2], scalars[:, 3])
-    return dict(zip(PACK_ARRAYS, packed)), header
+    return _pack(feats, edges, np.stack(scalars), feats[0].shape[1]), header
 
 
 # ------------------------------------------------------------ pack sidecar
@@ -435,25 +519,12 @@ def load_dataset(graph_path, embedding_path) -> DomainDataset:
     if packed is None:
         _write_pack(arrays, header, key, pack_path)
 
-    # one builder for both sources: node_features are read-only row views
-    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
-    feats.flags.writeable = False
-    node_off, edge_off, pairs = node_off.tolist(), edge_off.tolist(), list(zip(*edges.T.tolist()))
-    task, domain = header["task"], header["domain"]
-    instances = [
-        GraphInstance(
-            num_nodes=node_off[i + 1] - node_off[i], edges=pairs[edge_off[i] : edge_off[i + 1]],
-            node_features=feats[node_off[i] : node_off[i + 1]], text_index=text_index,
-            target=NodeTarget(u) if task == "node" else EdgeTarget((u, v)) if task == "edge"
-            else GraphTarget(),
-            domain=domain, label=None if lab == -1 else lab,
-        )
-        for i, ((u, v), lab, text_index) in enumerate(zip(target.tolist(), label.tolist(), text.tolist()))
-    ]
+    arrays["node_features"].flags.writeable = False  # instances get row views of it
     splits = Splits(*(header["splits"][name] for name in SPLIT_NAMES))
     sha256 = {"graphs": key, "embeddings": hashlib.sha256(emb_blob).hexdigest()}
     return DomainDataset(
-        domain, task, header["classes"], instances, embeddings, splits, str(graph_path), sha256
+        header["domain"], header["task"], header["classes"], None, embeddings, splits,
+        str(graph_path), sha256, arrays,
     )
 
 
@@ -478,6 +549,4 @@ def iterate_epochs(
     for _ in range(epochs):
         order = rng.permutation(len(pool))
         for start in range(0, len(pool), batch_size):
-            chunk = [pool[int(j)] for j in order[start : start + batch_size]]
-            domains = tuple(sorted({ds.domain for ds, _ in chunk}))
-            yield Batch(items=chunk, active_domains=domains)
+            yield Batch([pool[int(j)] for j in order[start : start + batch_size]])

@@ -18,28 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoder import (
-    MultiScaleEncoder,
-    encode_batch,
-    encoder_backward,
-    encoder_param_shapes,
-    uniform_init,
-)
+from .encoder import MultiScaleEncoder, encode_packed, encoder_backward, encoder_param_shapes, uniform_init
 from .errors import (
-    ContractError,
-    DegenerateInputError,
-    DimensionError,
-    EmptyDataError,
-    InvalidParameterError,
+    ContractError, DegenerateInputError, DimensionError, EmptyDataError, InvalidParameterError,
 )
-from .graphdata import DomainDataset, iterate_epochs
-from .numcore import (
-    OptimizerState,
-    ParamSet,
-    optimizer_step,
-    row_cosine_similarity,
-    row_norms,
-)
+from .graphdata import DomainDataset, iterate_epochs, merge_packed, take_packed
+from .numcore import OptimizerState, ParamSet, optimizer_step, row_cosine_similarity, row_norms
 from .persist import Checkpoint
 
 CENTER_SAMPLE_CAP = 1000
@@ -121,10 +105,7 @@ class PretrainConfig:
 
 
 def compute_domain_centers(
-    datasets: list[DomainDataset],
-    cap: int = CENTER_SAMPLE_CAP,
-    *,
-    rng: np.random.Generator,
+    datasets: list[DomainDataset], cap: int = CENTER_SAMPLE_CAP, *, rng: np.random.Generator
 ) -> DomainCenters:
     """Per-domain mean of raw node-feature means and of text embeddings.
 
@@ -135,17 +116,14 @@ def compute_domain_centers(
     text_centers: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     for ds in datasets:
-        n = len(ds.instances)
+        arrays = ds.packed()
+        feats, node_off, n = arrays["node_features"], arrays["node_offsets"], len(arrays["label"])
         if n == 0:
             raise EmptyDataError(f"domain {ds.domain!r} has no instances")
         k = min(cap, n)
         chosen = rng.permutation(n)[:k]
-        feat_means = np.stack(
-            [np.asarray(ds.instances[int(i)].node_features).mean(axis=0) for i in chosen]
-        )
-        text_rows = np.stack(
-            [ds.text_embeddings[ds.instances[int(i)].text_index] for i in chosen]
-        )
+        feat_means = np.stack([feats[node_off[i] : node_off[i + 1]].mean(axis=0) for i in chosen])
+        text_rows = ds.text_embeddings[arrays["text_index"][chosen]]
         domains.append(ds.domain)
         graph_centers[ds.domain] = feat_means.mean(axis=0)
         text_centers[ds.domain] = text_rows.mean(axis=0)
@@ -344,11 +322,18 @@ def _stage1_arrays(
     return arrays
 
 
+def _train_pool(datasets: list[DomainDataset]) -> tuple[dict, dict, np.ndarray, np.ndarray]:
+    """Every train instance in one packed set, in the order of iterate_epochs'
+    pool; the row of each (dataset, index) item; each row's kind and text row."""
+    parts = [take_packed(ds.packed(), np.array(ds.splits.train, dtype=np.intp)) for ds in datasets]
+    row_of = {item: r for r, item in enumerate((ds, i) for ds in datasets for i in ds.splits.train)}
+    kinds = np.repeat([ds.task for ds in datasets], [len(ds.splits.train) for ds in datasets])
+    texts = np.concatenate([ds.text_embeddings[a["text_index"]] for ds, a in zip(datasets, parts)])
+    return merge_packed(parts), row_of, kinds, texts
+
+
 def pretrain_loop(
-    config: PretrainConfig,
-    datasets: list[DomainDataset],
-    hidden_dim: int,
-    num_layers: int,
+    config: PretrainConfig, datasets: list[DomainDataset], hidden_dim: int, num_layers: int
 ) -> PretrainResult:
     """Full Stage I run; deterministic given config.seed."""
     d_in, d_t = _uniform_dims(datasets)
@@ -370,12 +355,13 @@ def pretrain_loop(
     total = sum(len(ds.splits.train) for ds in datasets)
     per_epoch = (total + config.batch_size - 1) // config.batch_size
 
+    packed, row_of, kinds, texts = _train_pool(datasets)
     loss_sum, seen, batch_count = 0.0, 0, 0
     for batch in batches:  # one encode and one backward per batch
-        pairs = batch.instances()
-        x, cache = encode_batch([inst for _, inst in pairs], enc)
-        t = np.stack([ds.text_embeddings[inst.text_index] for ds, inst in pairs])
-        ids = [inst.domain for _, inst in pairs]
+        rows = np.array([row_of[item] for item in batch.items])
+        x, cache = encode_packed(packed, rows, kinds[rows], enc)
+        t = texts[rows]
+        ids = [ds.domain for ds, _ in batch.items]
         result = dr_clip_loss(x, t, ids, weights, config.temperature, adapter)
         grads = params.zeros_like()
         encoder_backward(cache, result.grad_x, out=grads.flat[:n_enc])
@@ -466,8 +452,9 @@ def evaluate_retrieval(
         )
     chosen = rng.permutation(len(held))[:pool_size]
     indices = [held[int(i)] for i in chosen]
-    x, _ = encode_batch([dataset.instances[i] for i in indices], encoder)
-    t = np.stack([dataset.text_embeddings[dataset.instances[i].text_index] for i in indices])
+    arrays = dataset.packed()
+    x, _ = encode_packed(arrays, indices, dataset.task, encoder)
+    t = dataset.text_embeddings[arrays["text_index"][indices]]
     if adapter is not None:
         t = adapter.apply(t)
     cos = row_cosine_similarity(x, t)

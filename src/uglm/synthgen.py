@@ -22,17 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graphdata import (
-    DomainDataset,
-    EdgeTarget,
-    GraphInstance,
-    GraphTarget,
-    NodeTarget,
-    Splits,
-    TaskKind,
-    TASK_KINDS,
-    save_dataset,
-)
+from .graphdata import TASK_KINDS, DomainDataset, GraphInstance, Splits, TaskKind, draw_target, save_dataset
 
 
 @dataclass
@@ -125,23 +115,11 @@ def generate_domain(spec: DomainSpec) -> tuple[DomainDataset, np.ndarray]:
         label = cls
         if rng.random() < spec.label_noise:
             label = int((cls + 1 + rng.integers(spec.num_classes - 1)) % spec.num_classes)
-        if spec.task == "node":
-            target = NodeTarget(node=int(rng.integers(0, n)))
-        elif spec.task == "edge":
-            target = EdgeTarget(edge=edges[int(rng.integers(0, len(edges)))])
-        else:
-            target = GraphTarget()
-        instances.append(
-            GraphInstance(
-                num_nodes=n,
-                edges=edges,
-                node_features=feats,
-                target=target,
-                label=label,
-                text_index=i,
-                domain=spec.domain,
-            )
-        )
+        target = draw_target(spec.task, rng, n, edges)
+        instances.append(GraphInstance(
+            num_nodes=n, edges=edges, node_features=feats, target=target, label=label, text_index=i,
+            domain=spec.domain,
+        ))
 
     embeddings = embeddings.astype(np.float32).astype(np.float64)
     order = rng.permutation(spec.num_instances)
@@ -152,14 +130,7 @@ def generate_domain(spec: DomainSpec) -> tuple[DomainDataset, np.ndarray]:
         val=sorted(int(i) for i in order[n_train : n_train + n_val]),
         test=sorted(int(i) for i in order[n_train + n_val :]),
     )
-    dataset = DomainDataset(
-        domain=spec.domain,
-        task=spec.task,
-        num_classes=spec.num_classes,
-        instances=instances,
-        text_embeddings=embeddings,
-        splits=splits,
-    )
+    dataset = DomainDataset(spec.domain, spec.task, spec.num_classes, instances, embeddings, splits)
     return dataset, embeddings
 
 

@@ -4,8 +4,9 @@ The loss oracles are direct per-pair transcriptions of the losses they
 check and deliberately share no code with the production implementations.
 The per-instance encoder below is the slow reference for the batched one:
 one graph at a time, neighbour sums by ``np.add.at``, weight gradients by
-one matmul each. The per-instance Stage II step is the reference for the
-vectorized one.
+one matmul each. The sequential segment sum is the bitwise reference for
+the batched encoder's segment sums. The per-instance Stage II step is the
+reference for the vectorized one.
 """
 
 import math
@@ -172,6 +173,16 @@ def reference_align_step(batch, state, config, encoder, head):
 
 
 # ------------------------------------------------- per-instance encoder
+
+
+def sequential_segment_sum(rows, take, segment, num_segments):
+    """Sum of rows[take[e]] per segment[e], one segment at a time: each starts
+    at 0.0 and adds its entries in e order (``take`` None: row e itself)."""
+    out = np.zeros((num_segments, rows.shape[1]))
+    for s in range(num_segments):
+        for e in np.flatnonzero(segment == s):
+            out[s] = out[s] + rows[e if take is None else take[e]]
+    return out
 
 
 def _edge_arrays(num_nodes, edges):

@@ -26,7 +26,7 @@ from uglm.align import (
     score_rows,
     update_difficulty,
 )
-from uglm.encoder import MultiScaleEncoder, encode_batch
+from uglm.encoder import MultiScaleEncoder, encode_packed
 from uglm.errors import ContractError, EmptyDataError
 from uglm.graphdata import Batch, iterate_epochs, load_dataset, save_dataset
 from uglm.numcore import OptimizerState, finite_difference_gradient
@@ -297,7 +297,6 @@ def twin_domain_setup(seed=0, m=2, d_l=4):
     )
     batch = Batch(
         items=[(ds_a, i) for i in range(6)] + [(ds_b, i) for i in range(6)],
-        active_domains=("twin_a", "twin_b"),
     )
     return ds_a, ds_b, enc, proj, head, batch
 
@@ -335,7 +334,6 @@ def test_huge_temperature_behaves_as_uniform():
     head = FrozenHead.build(32, {"a": 3, "b": 3}, 2, 4)
     batch = Batch(
         items=[(ds_a, i) for i in range(5)] + [(ds_b, i) for i in range(5)],
-        active_domains=("a", "b"),
     )
     config = AlignConfig(total_steps=1, batch_size=10, seed=0, curriculum_temperature=1e9)
     state = align_step(batch, fresh_state(proj, config), config, encode_items(enc, head, batch.items))
@@ -464,23 +462,23 @@ def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, w
 
 @pytest.mark.parametrize("tasks", MIXED_TASK_PAIRS)
 def test_each_training_graph_encoded_at_most_once_per_run(monkeypatch, tasks):
-    # exactly once: one encode_batch call per domain, over its train split
+    # exactly once: one encode_packed call per domain, over its train split
     datasets = mixed_task_domains(tasks)
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(42))
     calls: list[list[int]] = []
 
-    def counting(instances, *args):
-        calls.append([id(inst) for inst in instances])
-        return encode_batch(instances, *args)
+    def counting(arrays, rows, *args):
+        calls.append(list(rows))
+        return encode_packed(arrays, rows, *args)
 
-    monkeypatch.setattr("uglm.align.encode_batch", counting)
+    monkeypatch.setattr("uglm.align.encode_packed", counting)
     monkeypatch.setattr("uglm.align.task_representation", None)  # no per-instance encode
     # 12 steps of 8 draw every one of the 20 training graphs, most of them 4-5 times
     config = AlignConfig(total_steps=12, batch_size=8, seed=43, token_dim=8)
     for _ in range(2):  # a second run encodes again: nothing outlives a run
         calls.clear()
         align_loop(config, datasets, enc)
-        assert calls == [[id(ds.instances[i]) for i in ds.splits.train] for ds in datasets]
+        assert calls == [ds.splits.train for ds in datasets]
 
 
 def test_instance_checks_run_on_memoized_items(monkeypatch):
@@ -549,10 +547,10 @@ def test_vectorized_step_matches_per_instance_step(weighting):
     t = [ds.splits.train for ds in datasets]
     batches += [
         # node and graph have one row each
-        Batch([(edge, t[1][0]), (node, t[0][2]), (edge, t[1][3]), (graph, t[2][1])], ()),
+        Batch([(edge, t[1][0]), (node, t[0][2]), (edge, t[1][3]), (graph, t[2][1])]),
         # duplicated items, in and across domains
         Batch([(node, t[0][4]), (graph, t[2][0]), (node, t[0][4]), (node, t[0][4]),
-               (graph, t[2][0]), (edge, t[1][5])], ()),
+               (graph, t[2][0]), (edge, t[1][5])]),
     ]
     proj = Projector.initialize(enc.hidden_dim, config.num_tokens, config.token_dim,
                                 np.random.default_rng(47))
@@ -594,11 +592,11 @@ def test_classification_encodes_its_split_in_one_batch(monkeypatch):
     ds, enc, proj, head = small_setup()
     calls = []
 
-    def counting(instances, *args):
-        calls.append(len(instances))
-        return encode_batch(instances, *args)
+    def counting(arrays, rows, *args):
+        calls.append(len(rows))
+        return encode_packed(arrays, rows, *args)
 
-    monkeypatch.setattr("uglm.align.encode_batch", counting)
+    monkeypatch.setattr("uglm.align.encode_packed", counting)
     monkeypatch.setattr("uglm.align.task_representation", None)  # no per-instance encode
     evaluate_classification(enc, proj, head, ds, split="test")
     assert calls == [len(ds.splits.test)]

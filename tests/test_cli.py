@@ -342,6 +342,18 @@ def test_encoder_without_domain_data_is_accepted(pipeline, suite_dir, tmp_path, 
     assert param_fingerprint(encoders[0].params) == param_fingerprint(encoders[1].params)
 
 
+@pytest.mark.parametrize("domain_data", [[1], {"easy": [1]}, "easy", {"easy": {"feature_dim": "x"}}])
+def test_malformed_domain_data_exits_1(pipeline, suite_dir, tmp_path, capsys, domain_data):
+    # a list indexed by its own items raised IndexError, which escaped main
+    ckpt = load_checkpoint(pipeline["encoder"])
+    ckpt.metadata["domain_data"] = domain_data
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, bad)
+    rc = main(["eval", "--encoder", str(bad), "--data", str(suite_dir), "--mode", "retrieval", "--pool", "20"])
+    assert rc == 1
+    assert f"{bad}: checkpoint domain_data is malformed" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["align", "retrieval", "classification"])
 def test_changed_and_new_domain_data_are_listed_beside_results(
     pipeline, config_path, suite_dir, tmp_path, capsys, command

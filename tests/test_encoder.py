@@ -1,21 +1,37 @@
 import numpy as np
 import pytest
 
-from oracles import max_relative_error, reference_encoder_backward, reference_task_representation
+from oracles import (
+    max_relative_error,
+    reference_encoder_backward,
+    reference_task_representation,
+    sequential_segment_sum,
+)
 from uglm.encoder import (
     GRAD_CHUNK_ROWS,
+    JAGGED_MIN_IDS,
     SEGMENT_CHUNK,
     GraphBatch,
     MultiScaleEncoder,
     encode_batch,
     encode_node_graph,
+    encode_packed,
     encoder_backward,
     forward,
     task_representation,
 )
 from uglm.errors import ContractError, DimensionError
-from uglm.graphdata import EdgeTarget, GraphInstance, GraphTarget, NodeTarget
+from uglm.graphdata import (
+    EdgeTarget,
+    GraphInstance,
+    GraphTarget,
+    NodeTarget,
+    load_dataset,
+    merge_packed,
+    save_dataset,
+)
 from uglm.numcore import ParamSet, finite_difference_gradient
+from uglm.synthgen import DomainSpec, generate_domain
 
 
 def manual_encoder(w_self, w_neigh, bias, heads_value=1.0):
@@ -370,3 +386,70 @@ def test_empty_batch_and_wrong_upstream_are_contract_errors():
     _, cache = encode_batch(mixed_batch(rng, 2), enc)
     with pytest.raises(ContractError):
         encoder_backward(cache, np.zeros(3))
+
+
+# ------------------------------------------------------ segment-sum kernels
+
+
+@pytest.mark.parametrize("chunk", [-1, 8, SEGMENT_CHUNK, 1 << 30])  # -1: always jagged
+@pytest.mark.parametrize("width", [1, 48])
+def test_segment_sums_equal_the_sequential_oracle_bit_for_bit(monkeypatch, chunk, width):
+    monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+    rng = np.random.default_rng(50)
+    # hub 0 has in-degree 1200, far past the last pass of JAGGED_MIN_IDS ids;
+    # nodes 1201.. are isolated and node 3 has a self-loop
+    star = [(v, 0) for v in range(1, 1201)] + [(0, v) for v in range(1, 40)] + [(3, 3)]
+    hub = instance(1300, star, rng.normal(size=(1300, 2)), GraphTarget())
+    edgeless = instance(4, [], rng.normal(size=(4, 2)), NodeTarget(node=1))
+    for graphs in ([hub, edgeless, *mixed_batch(rng, 2)], [edgeless]):
+        batch = GraphBatch.build(graphs, 2)
+        for w in (width, width + 2):  # one plan serves every width
+            rows = rng.normal(size=(batch.features.shape[0], w))
+            rows[::7] = -0.0  # a sum starts at +0.0, as np.bincount's do
+            for plan in (batch.gather, batch.scatter, batch.pool):
+                expected = sequential_segment_sum(rows, plan.take, plan.segment, plan.num_segments)
+                assert np.array_equal(plan(rows), expected)
+                assert np.array_equal(np.signbit(plan(rows)), np.signbit(expected))
+    assert JAGGED_MIN_IDS > 1  # so the hub's tail is left to np.add.at
+
+
+# -------------------------------------------------------- packed batches
+
+
+def saved_and_loaded(tmp_path, tasks):
+    """Domains of the given tasks, each as generated and as loaded from its files."""
+    pairs = []
+    for k, task in enumerate(tasks):
+        made, _ = generate_domain(DomainSpec(
+            domain=f"{task}{k}", task=task, num_instances=12, num_classes=2, nodes_min=2,
+            nodes_max=40, feature_dim=3, text_dim=3, feature_noise=0.3, text_noise=0.1,
+            label_noise=0.0, seed=60 + k,
+        ))
+        paths = tmp_path / f"{task}{k}.jsonl", tmp_path / f"{task}{k}.emb"
+        save_dataset(made, *paths)
+        pairs.append((made, load_dataset(*paths)))
+    return pairs
+
+
+@pytest.mark.parametrize("chunk", [8, SEGMENT_CHUNK])
+def test_packed_batch_equals_the_lazy_instances_batch_bit_for_bit(monkeypatch, tmp_path, chunk):
+    monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+    pairs = saved_and_loaded(tmp_path, ("node", "edge", "graph", "node"))
+    loaded = [ds for _, ds in pairs]
+    assert [ds.feature_dim for ds in loaded] == [3] * 4
+    assert all("instances" not in vars(ds) for ds in loaded)  # feature_dim built none
+    rng = np.random.default_rng(61)
+    packed = merge_packed([ds.packed() for ds in loaded])
+    kinds = np.repeat([ds.task for ds in loaded], 12)
+    rows = rng.permutation(48)  # the domains mixed, as in a Stage I batch
+    enc = MultiScaleEncoder.initialize(3, 5, 3, rng)
+    x, cache = encode_packed(packed, rows, kinds[rows], enc)
+    x_ref, ref = encode_batch([loaded[r // 12].instances[r % 12] for r in rows], enc)
+    assert np.array_equal(x, x_ref)
+    upstream = rng.normal(size=x.shape)
+    assert np.array_equal(encoder_backward(cache, upstream).flat, encoder_backward(ref, upstream).flat)
+    for made, ds in pairs:  # the lazy instances: file edge order, read-only views of the file's rows
+        for g, original in zip(ds.instances, made.instances):
+            assert g.edges == original.edges and g.target == original.target
+            assert not g.node_features.flags.writeable
+            assert np.shares_memory(g.node_features, ds.file_arrays["node_features"])

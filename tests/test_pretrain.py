@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uglm.encoder import encode_batch
+from uglm.encoder import encode_packed
 from uglm.errors import ContractError, DegenerateInputError, DimensionError, EmptyDataError
-from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits
+from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits, load_dataset, save_dataset
 from uglm.numcore import ParamSet, finite_difference_gradient
 from uglm.persist import param_fingerprint
 from uglm.pretrain import (
@@ -397,11 +397,11 @@ def test_retrieval_encodes_its_pool_in_one_batch(monkeypatch):
     )
     calls = []
 
-    def counting(instances, *args):
-        calls.append(len(instances))
-        return encode_batch(instances, *args)
+    def counting(arrays, rows, *args):
+        calls.append(len(rows))
+        return encode_packed(arrays, rows, *args)
 
-    monkeypatch.setattr("uglm.pretrain.encode_batch", counting)
+    monkeypatch.setattr("uglm.pretrain.encode_packed", counting)
     evaluate_retrieval(result.encoder, datasets[0], 3, np.random.default_rng(0), result.adapter)
     assert calls == [3]
 
@@ -422,3 +422,31 @@ def test_adapter_rejects_text_rows_of_another_width():
     adapter = TextAdapter.initialize(3, 4, np.random.default_rng(0))
     with pytest.raises(DimensionError):
         adapter.apply(np.ones((2, 5)))
+
+
+def test_pretrain_bits_do_not_depend_on_the_segment_sum_path(monkeypatch, tmp_path):
+    # 8 entries sends every neighbour, backward and pooling sum down the
+    # jagged-diagonal path, 1 << 30 down the one-bincount path. The first
+    # run reads the files' packed arrays, the later two the built instances.
+    datasets = []
+    for k, task in enumerate(("node", "edge", "graph")):
+        made, _ = generate_domain(DomainSpec(
+            domain=f"{task}_dom", task=task, num_instances=16, num_classes=3, nodes_min=3,
+            nodes_max=30, feature_dim=5, text_dim=4, feature_noise=0.2, text_noise=0.1,
+            label_noise=0.0, seed=70 + k,
+        ))
+        paths = tmp_path / f"{task}.jsonl", tmp_path / f"{task}.emb"
+        save_dataset(made, *paths)
+        datasets.append(load_dataset(*paths))
+    config = PretrainConfig(epochs=4, batch_size=6, learning_rate=0.01, temperature=0.5, seed=3)
+    runs = []
+    for chunk in (8, 1 << 30, 8):
+        monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+        result = pretrain_loop(config, datasets, hidden_dim=6, num_layers=3)
+        runs.append((result.encoder.params.flat, result.adapter.params().flat, result.epoch_losses))
+        for ds in datasets:  # builds the instances, which later runs pack
+            assert len(ds.instances) == 16
+    (enc, adapter, losses), *others = runs
+    for other_enc, other_adapter, other_losses in others:
+        assert np.array_equal(enc, other_enc) and np.array_equal(adapter, other_adapter)
+        assert losses == other_losses and len(losses) == 4
