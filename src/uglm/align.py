@@ -204,14 +204,15 @@ def encode_rows(
 
 def score_rows(encoded: EncodedRows, proj: Projector) -> tuple[np.ndarray, np.ndarray]:
     """Label probabilities and cross-entropy of every row, in whole-batch
-    operations: ``tokens = x W + b``, then the logits ``tokens C_d^T + c_d``."""
-    every = np.arange(len(encoded.rows))
-    tokens = encoded.rows @ proj.params.flat.reshape(encoded.rows.shape[1], -1)
-    logits = (tokens @ encoded.head_weight.T).reshape(len(every), -1, encoded.head_bias.shape[1])
-    logits = logits[every, encoded.domain] + encoded.head_bias[encoded.domain]
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    return np.exp(shifted - log_norm[:, None]), log_norm - shifted[every, encoded.label]
+    operations: ``tokens = x W + b``, then the logits ``tokens C_d^T + c_d``.
+    A stacked projector (P parameter vectors) gives (P, n, K) and (P, n)."""
+    flat, every = proj.params.flat, np.arange(len(encoded.rows))
+    tokens = encoded.rows @ flat.reshape(flat.shape[:-1] + (encoded.rows.shape[1], -1))
+    logits = (tokens @ encoded.head_weight.T).reshape(tokens.shape[:-1] + (-1, encoded.head_bias.shape[1]))
+    logits = logits[..., every, encoded.domain, :] + encoded.head_bias[encoded.domain]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=-1))
+    return np.exp(shifted - log_norm[..., None]), log_norm - shifted[..., every, encoded.label]
 
 
 def instance_loss(
@@ -230,9 +231,12 @@ def instance_loss(
 
 
 def domain_losses(encoded: EncodedRows, loss: np.ndarray) -> np.ndarray:
-    """Mean of ``loss`` over each domain's rows (0 for a domain without rows)."""
-    sums = np.bincount(encoded.domain, weights=loss, minlength=len(encoded.domains))
-    return sums / np.maximum(np.bincount(encoded.domain, minlength=len(encoded.domains)), 1)
+    """Mean of ``loss`` over each domain's rows (0 for a domain without rows);
+    a stack of losses is one bincount over (stack row, domain) ids."""
+    size, rows = len(encoded.domains), loss.reshape(-1, loss.shape[-1])
+    ids = encoded.domain + size * np.arange(len(rows))[:, None]
+    sums = np.bincount(ids.ravel(), weights=rows.ravel(), minlength=size * len(rows))
+    return sums.reshape(*loss.shape[:-1], size) / np.maximum(np.bincount(encoded.domain, minlength=size), 1)
 
 
 def domain_mean_gradient(encoded: EncodedRows, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,6 +373,8 @@ class AlignConfig:
             raise InvalidParameterError("curriculum_temperature must be positive")
         if self.num_tokens < 1 or self.token_dim < 1:
             raise InvalidParameterError("num_tokens and token_dim must be >= 1")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.weighting not in ("curriculum", "uniform"):
             raise InvalidParameterError(f"unknown weighting {self.weighting!r}")
 

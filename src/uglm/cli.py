@@ -22,7 +22,7 @@ import numpy as np
 
 from .align import align_loop, evaluate_classification, projector_from_checkpoint, projector_to_checkpoint
 from .config import load_run_config
-from .errors import ContractError, EmptyDataError, UglmError
+from .errors import ContractError, EmptyDataError, InvalidParameterError, UglmError
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .graphdata import DomainDataset, load_dataset
 from .persist import (
@@ -345,6 +345,8 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     try:
+        if getattr(args, "seed", 0) < 0:  # numpy would reject it after work had begun
+            raise InvalidParameterError(f"--seed must be >= 0, got {args.seed}")
         return _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -16,7 +16,7 @@ batch straight from packed arrays (``graphdata.PACK_ARRAYS``) and does
 everything that depends on the graphs alone (node and edge range gathers,
 edge shifts, in-degrees, head rows and targets, segment-sum plans), and
 ``forward(batch, enc)`` only the arithmetic, so a batch can be run under
-many parameter vectors, as the finite-difference check does.
+many parameter vectors, or once under a stack of them (the gradient check).
 ``encode_packed`` builds and runs once; ``encode_batch`` packs a list of
 ``GraphInstance`` objects first, so both take one path.
 
@@ -115,6 +115,10 @@ class _SegmentSum:
         self._jagged: tuple | None = None
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
+        if rows.ndim == 3:  # a (P, n, w) stack: one sum over (n, P * w) rows
+            stack, n, w = rows.shape
+            sums = self(rows.transpose(1, 0, 2).reshape(n, stack * w))
+            return sums.reshape(-1, stack, w).transpose(1, 0, 2)
         width = rows.shape[1]
         if self.segment.size * width <= SEGMENT_CHUNK:
             index = self._flat.get(width)
@@ -232,7 +236,8 @@ def forward(batch: GraphBatch, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCac
     """Representations (B x d) of a built batch under ``enc``'s parameters.
 
     Only arithmetic: the structure comes from ``batch``. Row b depends only
-    on instance b: the batch's graphs share no edges.
+    on instance b: the batch's graphs share no edges. Under a (P, N) stack
+    of parameter vectors they are (P, B, d), each slice with its own bits.
     """
     if batch.features.shape[1] != enc.input_dim:
         raise DimensionError(
@@ -246,22 +251,22 @@ def forward(batch: GraphBatch, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCac
         agg = batch.gather(h) * batch.inv_deg
         names = (f"layer{i}.self_weight", f"layer{i}.neigh_weight", f"layer{i}.bias")
         w_self, w_neigh, bias = (params[name] for name in names)
-        pre = h @ w_self + agg @ w_neigh + bias
+        pre = h @ w_self + agg @ w_neigh + bias[..., None, :]
         layers.append((h, agg, pre))
         h = pre if i == enc.num_layers - 1 else np.maximum(pre, 0.0)
     h_graph = batch.pool(h) / batch.sizes
-    x = np.empty((len(batch.sizes), enc.hidden_dim))
+    x = np.empty_like(h_graph)
     heads = []
     for kind, rows, targets in batch.heads:
         if kind == "node":
-            local = h[targets]
+            local = h[..., targets, :]
         elif kind == "edge":
-            local = 0.5 * (h[targets[:, 0]] + h[targets[:, 1]])
+            local = 0.5 * (h[..., targets[:, 0], :] + h[..., targets[:, 1], :])
         else:
-            local = h_graph[rows]
-        concat = np.concatenate([local, h_graph[rows]], axis=1)
+            local = h_graph[..., rows, :]
+        concat = np.concatenate([local, h_graph[..., rows, :]], axis=-1)
         name = HEAD_NAMES[kind]
-        x[rows] = concat @ params[f"{name}.weight"] + params[f"{name}.bias"]
+        x[..., rows, :] = concat @ params[f"{name}.weight"] + params[f"{name}.bias"][..., None, :]
         heads.append(concat)
     return x, BatchCache(enc, batch, layers, h, h_graph, heads)
 

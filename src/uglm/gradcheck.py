@@ -6,11 +6,13 @@ graph rows and adapter parameters, the frozen-head instance loss w.r.t.
 projector parameters, and the weighted multi-domain objective w.r.t.
 projector parameters with the weights held constant.
 
-Every check differences its function entry by entry (central, eps 1e-5).
-Each evaluation runs only what depends on the perturbed entry: the encoder
-check builds a trial's ``GraphBatch`` once and runs ``forward`` on it, and
-the contrastive check evaluates the loss alone (``dr_clip_forward``, the
-forward ``dr_clip_loss`` calls) under the trial's pair weights.
+Every check takes central differences (eps 1e-5) with the stacked oracle:
+one call of the training function runs up to 64 perturbed parameter
+vectors, two per entry, and only what depends on them. The encoder check
+builds a trial's ``GraphBatch`` once and runs ``forward`` on it, the
+contrastive check evaluates the loss alone (``dr_clip_forward``, the
+forward ``dr_clip_loss`` calls) under the trial's pair weights, and the
+projector checks run ``score_rows`` under a stacked projector.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .align import (
     score_rows,
 )
 from .encoder import GraphBatch, MultiScaleEncoder, encoder_backward, forward
-from .errors import GradientCheckError
+from .errors import GradientCheckError, InvalidParameterError
 from .graphdata import DomainDataset, GraphInstance, Splits, draw_target
-from .numcore import ParamSet, finite_difference_gradient
+from .numcore import ParamSet, stacked_finite_difference_gradient
 from .pretrain import (
     DomainCenters,
     TextAdapter,
@@ -116,10 +118,10 @@ def check_encoder_gradients(seed: int, trials: int) -> CheckResult:
 
         def f(ps, batch=batch, enc=enc, probe=probe):  # the batch's structure is reused
             x, _ = forward(batch, enc.with_params(ps))
-            return float(probe @ x[0])
+            return x[..., 0, :] @ probe
 
         analytic = encoder_backward(cache, probe)
-        numeric = finite_difference_gradient(f, enc.params)
+        numeric = stacked_finite_difference_gradient(f, enc.params)
         worst = max(worst, _gated_rel_error(analytic, numeric))
     return CheckResult("encoder_backward", trials, worst)
 
@@ -148,12 +150,12 @@ def check_contrastive_gradients(seed: int, trials: int) -> CheckResult:
 
         result = dr_clip_loss(x, t, ids, weights, tau, adapter)
         wg, wt = pair_weights(ids, weights)  # the differences below evaluate the loss only
-        fd_x = finite_difference_gradient(
+        fd_x = stacked_finite_difference_gradient(
             lambda ps: dr_clip_forward(ps["x"], t, wg, wt, tau, adapter).loss,
             ParamSet({"x": x}),
         )
         worst = max(worst, _gated_rel_error(ParamSet({"x": result.grad_x}), fd_x))
-        fd_adapter = finite_difference_gradient(
+        fd_adapter = stacked_finite_difference_gradient(
             lambda ps: dr_clip_forward(x, t, wg, wt, tau, adapter.with_params(ps)).loss,
             adapter.params(),
         )
@@ -185,8 +187,8 @@ def check_instance_loss_gradients(seed: int, trials: int) -> CheckResult:
         _, rows = instance_loss(g, enc, proj, head)  # the trial's one encode
         probs, _ = score_rows(rows, proj)
         analytic = projector_gradient(proj, rows, domain_mean_gradient(rows, probs)[0], np.ones(1))
-        numeric = finite_difference_gradient(
-            lambda ps: score_rows(rows, proj.with_params(ps))[1][0], proj.params
+        numeric = stacked_finite_difference_gradient(
+            lambda ps: score_rows(rows, proj.with_params(ps))[1][..., 0], proj.params
         )
         worst = max(worst, _gated_rel_error(analytic, numeric))
     return CheckResult("instance_loss", trials, worst)
@@ -227,15 +229,17 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
         analytic = projector_gradient(proj, rows, domain_mean_gradient(rows, probs)[0], weights)
 
         def objective(ps):
-            return float(weights @ domain_losses(rows, score_rows(rows, proj.with_params(ps))[1]))
+            return domain_losses(rows, score_rows(rows, proj.with_params(ps))[1]) @ weights
 
-        numeric = finite_difference_gradient(objective, proj.params)
+        numeric = stacked_finite_difference_gradient(objective, proj.params)
         worst = max(worst, _gated_rel_error(analytic, numeric))
     return CheckResult("weighted_objective", trials, worst)
 
 
 def run_gradcheck(seed: int = 0, trials: int = 21) -> list[CheckResult]:
-    """All four checks; ``trials`` randomized configurations each."""
+    """All four checks; ``trials`` (at least 1) randomized configurations each."""
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     return [
         check_encoder_gradients(seed, trials),
         check_contrastive_gradients(seed, trials),

@@ -1,7 +1,8 @@
 """Dense float64 matrix primitives, parameter sets, the Adam optimizer,
-and a finite-difference gradient oracle. Each trainable group (Stage I's
-encoder plus adapter, Stage II's projector) is one flat float64 vector
-that a ``ParamSet`` names views into; checkpoints store the named tensors.
+and a stacked finite-difference gradient oracle. Each trainable group
+(Stage I's encoder plus adapter, Stage II's projector) is one flat float64
+vector that a ``ParamSet`` names views into; checkpoints store the named
+tensors. The row functions also take (P, n, d) stacks of matrices.
 
 Everything here is pure: functions never mutate their inputs and identical
 inputs produce bit-identical outputs. All compute is 64-bit so the
@@ -32,8 +33,8 @@ Matrix = np.ndarray
 
 def _as2d(x, label: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DimensionError(f"{label} must be 2-D, got shape {arr.shape}")
+    if arr.ndim not in (2, 3):
+        raise DimensionError(f"{label} must be 2-D or a stack of 2-D, got shape {arr.shape}")
     return arr
 
 
@@ -45,11 +46,10 @@ def _ensure_finite(arr: np.ndarray, label: str) -> np.ndarray:
 
 def row_norms(x: Matrix, label: str = "matrix") -> np.ndarray:
     """L2 norm of every row; rows at or below NORM_FLOOR are an error."""
-    x2 = _as2d(x, label)
-    norms = np.linalg.norm(x2, axis=1)
-    bad = np.nonzero(norms <= NORM_FLOOR)[0]
+    norms = np.linalg.norm(_as2d(x, label), axis=-1)
+    bad = np.flatnonzero(norms <= NORM_FLOOR)
     if bad.size:
-        raise DegenerateInputError(f"{label} row {int(bad[0])} has norm <= {NORM_FLOOR}")
+        raise DegenerateInputError(f"{label} row {int(bad[0]) % norms.shape[-1]} has norm <= {NORM_FLOOR}")
     return norms
 
 
@@ -58,16 +58,14 @@ def row_cosine_similarity(x: Matrix, t: Matrix) -> Matrix:
 
     Entry (i, j) is cos(x[i], t[j]); values lie in [-1, 1] up to rounding.
     Zero-norm rows raise rather than clamp: they indicate upstream bugs.
+    Either side may be a (P, n, d) stack; the result is then (P, n_x, n_t).
     """
-    x2 = _as2d(x, "x")
-    t2 = _as2d(t, "t")
-    if x2.shape[1] != t2.shape[1]:
-        raise DimensionError(
-            f"column counts differ: x is {x2.shape}, t is {t2.shape}"
-        )
-    xn = x2 / row_norms(x2, "x")[:, None]
-    tn = t2 / row_norms(t2, "t")[:, None]
-    return _ensure_finite(xn @ tn.T, "cosine matrix")
+    x2, t2 = _as2d(x, "x"), _as2d(t, "t")
+    if x2.shape[-1] != t2.shape[-1]:
+        raise DimensionError(f"column counts differ: x is {x2.shape}, t is {t2.shape}")
+    xn = x2 / row_norms(x2, "x")[..., None]
+    tn = t2 / row_norms(t2, "t")[..., None]
+    return _ensure_finite(xn @ tn.swapaxes(-1, -2), "cosine matrix")
 
 
 def softmax_with_temperature(v, tau: float) -> np.ndarray:
@@ -90,7 +88,8 @@ class ParamSet:
     The layout (names and shapes, in insertion order) fixes where each array
     lives in ``flat``. Building one copies the arrays once into a read-only
     vector. A view is writable exactly when its vector is, so ``zeros_like``
-    gives a gradient buffer that callers fill through the named views.
+    gives a gradient buffer that callers fill through the named views. Over
+    a (P, N) stack of flat vectors (``with_flat``) each view is (P, *shape).
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
@@ -106,12 +105,12 @@ class ParamSet:
         start = 0
         for name, shape in self.layout:
             stop = start + math.prod(shape)
-            self._views[name] = flat[start:stop].reshape(shape)
+            self._views[name] = flat[..., start:stop].reshape(flat.shape[:-1] + shape)
             start = stop
 
     def with_flat(self, flat: np.ndarray) -> "ParamSet":
-        """The same names and shapes over the float64 ``flat``, which is not copied."""
-        if flat.shape != self.flat.shape:
+        """The same names and shapes over the float64 ``flat`` (not copied)."""
+        if flat.ndim > 2 or flat.shape[-1:] != self.flat.shape[-1:]:
             raise DimensionError(f"flat vector {flat.shape} does not fit layout {self.flat.shape}")
         out = copy.copy(self)
         out._bind(flat)
@@ -134,6 +133,9 @@ class ParamSet:
                 return name
         raise IndexError(f"entry is outside a layout of {self.flat.size} entries")
 
+
+# Entries (2x as many rows) per stacked-oracle call; peak memory grows with it.
+FD_STACK_ENTRIES = 32
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -183,28 +185,27 @@ def optimizer_step(
     )
 
 
-def finite_difference_gradient(
-    f: Callable[[ParamSet], float], params: ParamSet, eps: float = 1e-5
+def stacked_finite_difference_gradient(
+    f: Callable[[ParamSet], np.ndarray], params: ParamSet, eps: float = 1e-5
 ) -> ParamSet:
-    """Central-difference gradient of a scalar function, one entry at a time.
+    """Central-difference gradient of a scalar function, evaluated in stacks:
+    the oracle every analytic backward pass in the package is checked against.
 
-    This is the independent oracle every analytic backward pass in the
-    package is checked against; it deliberately shares no code with them.
+    ``f`` maps a ``ParamSet`` over a (P, N) stack to P values. A call stacks
+    FD_STACK_ENTRIES entries at most; row 2i is ``flat + eps e_i`` and row
+    2i + 1 is ``flat - eps e_i``, so each entry has its own two evaluations.
     """
     if eps <= 0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
-    work = params.flat.copy()
-    probe = params.with_flat(work)
-    grad = np.zeros_like(work)
-    for idx in range(work.size):
-        orig = work[idx]
-        work[idx] = orig + eps
-        hi = float(f(probe))
-        work[idx] = orig - eps
-        lo = float(f(probe))
-        work[idx] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            name = params.name_at(idx)
+    grad = np.empty(params.flat.size)
+    for start in range(0, grad.size, FD_STACK_ENTRIES):
+        idx = np.arange(start, min(start + FD_STACK_ENTRIES, grad.size))
+        stack = np.repeat(params.flat[None], 2 * idx.size, axis=0)
+        stack.reshape(idx.size, 2, -1)[np.arange(idx.size), :, idx] += (eps, -eps)
+        values = np.asarray(f(params.with_flat(stack)), dtype=np.float64).reshape(idx.size, 2)
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            name = params.name_at(int(idx[np.argmin(finite)]))
             raise NumericError(f"function evaluated to a non-finite value while perturbing {name!r}")
-        grad[idx] = (hi - lo) / (2.0 * eps)
+        grad[idx] = (values[:, 0] - values[:, 1]) / (2.0 * eps)
     return params.with_flat(grad)

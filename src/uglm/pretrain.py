@@ -66,11 +66,11 @@ class TextAdapter:
         )
 
     def apply(self, t: np.ndarray) -> np.ndarray:
-        if t.shape[1] != self.weight.shape[0]:
+        if t.shape[-1] != self.weight.shape[-2]:
             raise DimensionError(
-                f"text rows have dim {t.shape[1]} but the adapter expects {self.weight.shape[0]}"
+                f"text rows have dim {t.shape[-1]} but the adapter expects {self.weight.shape[-2]}"
             )
-        return t @ self.weight + self.bias
+        return t @ self.weight + self.bias[..., None, :]
 
     def params(self) -> ParamSet:
         return ParamSet({"text_adapter.weight": self.weight, "text_adapter.bias": self.bias})
@@ -99,6 +99,8 @@ class PretrainConfig:
             raise InvalidParameterError("center_sample_cap must be >= 1")
         if self.temperature <= 0:
             raise InvalidParameterError("temperature must be positive")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 # ------------------------------------------------------------ domain weights
@@ -192,15 +194,15 @@ def pair_weights(domain_ids: list[str], weights: DomainWeights) -> tuple[np.ndar
 
 def _weighted_lse(logits: np.ndarray, w: np.ndarray) -> np.ndarray:
     """log sum_j w_ij e^{s_ij} of every row."""
-    m = logits.max(axis=1, keepdims=True)
-    return m[:, 0] + np.log((w * np.exp(logits - m)).sum(axis=1))
+    m = logits.max(axis=-1, keepdims=True)
+    return m[..., 0] + np.log((w * np.exp(logits - m)).sum(axis=-1))
 
 
 @dataclass
 class DrClipForward:
     """The loss of one batch and the intermediates its gradient reuses."""
 
-    loss: float
+    loss: float | np.ndarray  # (P,) under a stack
     t_proj: np.ndarray
     cos: np.ndarray
     logits: np.ndarray
@@ -218,18 +220,19 @@ def dr_clip_forward(
     """The loss alone, under fixed pair weights ``wg``, ``wt`` (see ``pair_weights``).
 
     Mean over both directions of -log(e^{s_ii} / sum_j w_ij e^{s_ij}), with s
-    the cosine logits.
+    the cosine logits. A (P, n, d) stack of ``x`` rows or a stacked adapter
+    gives P losses, each with the bits of its own call.
     """
     t_proj = adapter.apply(t) if adapter is not None else t
-    if t_proj.shape[1] != x.shape[1]:
+    if t_proj.shape[-1] != x.shape[-1]:
         raise DimensionError(
-            f"text rows have dim {t_proj.shape[1]} but graph rows have dim {x.shape[1]}"
+            f"text rows have dim {t_proj.shape[-1]} but graph rows have dim {x.shape[-1]}"
         )
     cos = row_cosine_similarity(x, t_proj)
     logits = cos / temperature
-    lse = _weighted_lse(logits, wg), _weighted_lse(logits.T, wt)
-    own = np.diag(logits)
-    loss = 0.5 * (float((lse[0] - own).mean()) + float((lse[1] - own).mean()))
+    lse = _weighted_lse(logits, wg), _weighted_lse(logits.swapaxes(-1, -2), wt)
+    own = np.diagonal(logits, axis1=-2, axis2=-1)
+    loss = 0.5 * ((lse[0] - own).mean(axis=-1) + (lse[1] - own).mean(axis=-1))
     return DrClipForward(loss, t_proj, cos, logits, lse)
 
 
@@ -287,7 +290,7 @@ def dr_clip_loss(
             }
         )
         grad_t = grad_t_proj @ adapter.weight.T
-    return DrClipResult(loss=fwd.loss, grad_x=grad_x, grad_t=grad_t, grad_adapter=grad_adapter)
+    return DrClipResult(loss=float(fwd.loss), grad_x=grad_x, grad_t=grad_t, grad_adapter=grad_adapter)
 
 
 # ---------------------------------------------------------------- training

@@ -6,7 +6,8 @@ The per-instance encoder below is the slow reference for the batched one:
 one graph at a time, neighbour sums by ``np.add.at``, weight gradients by
 one matmul each. The sequential segment sum is the bitwise reference for
 the batched encoder's segment sums. The per-instance Stage II step is the
-reference for the vectorized one.
+reference for the vectorized one. The entrywise finite-difference oracle
+is the reference for the package's stacked one.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 from uglm.align import MetricsRow, curriculum_weights, update_difficulty
 from uglm.encoder import HEAD_NAMES, task_representation
+from uglm.errors import InvalidParameterError, NumericError
 from uglm.graphdata import target_kind
 from uglm.numcore import optimizer_step, row_cosine_similarity
 
@@ -83,6 +85,29 @@ def max_relative_error(a, b):
     denom = np.maximum(np.maximum(np.abs(av), np.abs(bv)), 1e-8)
     err = np.abs(av - bv) / denom
     return float(err.max()) if err.size else 0.0
+
+
+def finite_difference_gradient(f, params, eps=1e-5):
+    """Central-difference gradient of a scalar function, one entry at a time:
+    two calls of ``f`` on a single perturbed vector per entry. The reference
+    for the package's stacked oracle."""
+    if eps <= 0:
+        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    work = params.flat.copy()
+    probe = params.with_flat(work)
+    grad = np.zeros_like(work)
+    for idx in range(work.size):
+        orig = work[idx]
+        work[idx] = orig + eps
+        hi = float(f(probe))
+        work[idx] = orig - eps
+        lo = float(f(probe))
+        work[idx] = orig
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            name = params.name_at(idx)
+            raise NumericError(f"function evaluated to a non-finite value while perturbing {name!r}")
+        grad[idx] = (hi - lo) / (2.0 * eps)
+    return params.with_flat(grad)
 
 
 def planted_class(ds, index):

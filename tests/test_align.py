@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import max_relative_error, reference_align_step
+from oracles import finite_difference_gradient, max_relative_error, reference_align_step
 from uglm.align import (
     AlignConfig,
     AlignState,
@@ -29,7 +29,7 @@ from uglm.align import (
 from uglm.encoder import MultiScaleEncoder, encode_packed
 from uglm.errors import ContractError, EmptyDataError
 from uglm.graphdata import Batch, iterate_epochs, load_dataset, save_dataset
-from uglm.numcore import OptimizerState, finite_difference_gradient
+from uglm.numcore import OptimizerState
 from uglm.persist import export_metrics, param_fingerprint
 from uglm.synthgen import DomainSpec, generate_domain
 
@@ -152,6 +152,26 @@ def test_domain_batch_losses_are_within_domain_means():
     alone = [score_rows(encoded.take([item]), proj)[1][0] for item in items]
     assert losses[0] == pytest.approx((alone[0] + alone[1]) / 2, abs=1e-15)
     assert losses[1] == pytest.approx(alone[2], abs=1e-15)
+
+
+def test_stacked_projector_scores_equal_one_call_per_parameter_vector():
+    # three domains of different class counts, one of them without rows
+    datasets = [synth_domain(name=f"d{k}", classes=k, seed=k) for k in (2, 3, 4)]
+    enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(8))
+    proj = Projector.initialize(6, 2, 4, np.random.default_rng(9))
+    head = FrozenHead.build(10, {ds.domain: ds.num_classes for ds in datasets}, 2, 4)
+    encoded = encode_rows(enc, head, [(ds, list(range(5))) for ds in datasets])
+    rows = encoded.take([(datasets[0], 1), (datasets[2], 0), (datasets[0], 3), (datasets[2], 4)])
+    stack = proj.params.flat + 0.1 * np.random.default_rng(11).normal(size=(7, proj.params.flat.size))
+    probs, loss = score_rows(rows, proj.with_params(proj.params.with_flat(stack)))
+    means = domain_losses(rows, loss)
+    assert probs.shape == (7, 4, 4) and loss.shape == (7, 4) and means.shape == (7, 3)
+    for p in range(7):
+        probs_p, loss_p = score_rows(rows, proj.with_params(proj.params.with_flat(stack[p])))
+        assert np.allclose(probs[p], probs_p, rtol=1e-12, atol=0.0)
+        assert np.allclose(loss[p], loss_p, rtol=1e-12, atol=0.0)
+        assert np.allclose(means[p], domain_losses(rows, loss_p), rtol=1e-12, atol=0.0)
+    assert np.all(means[:, 1] == 0.0)
 
 
 def test_gradient_norm_zero_when_mixing_zero():

@@ -430,6 +430,33 @@ def test_gradcheck_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gradcheck", "--trials", "0"],
+        ["gradcheck", "--trials", "-3"],
+        ["gradcheck", "--seed", "-1"],
+        ["synth", "--out", "{out}", "--seed", "-1"],
+        ["eval", "--encoder", "{out}", "--data", "{out}", "--mode", "retrieval", "--seed", "-1"],
+        ["pretrain", "--config", "{config}", "--data", "{out}", "--out", "{out}", "--set", "pretrain.seed=-1"],
+        [
+            "align", "--config", "{config}", "--data", "{out}", "--encoder", "{out}", "--out", "{out}",
+            "--metrics", "{out}", "--set", "align.seed=-1",
+        ],
+    ],
+    ids=["gradcheck-trials-0", "gradcheck-trials-minus-3", "gradcheck-seed", "synth-seed", "eval-seed",
+         "pretrain-seed", "align-seed"],
+)
+def test_invalid_seed_or_trial_count_exits_1_before_any_work(argv, config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main([arg.format(out=out, config=config_path) for arg in argv])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err and ("seed" in captured.err or "trials" in captured.err)
+    assert "PASS" not in captured.out
+    assert not out.exists()
+
+
 def test_report_emits_per_domain_trajectories(pipeline, tmp_path, capsys):
     out_dir = tmp_path / "report"
     rc = main(["report", "--metrics", str(pipeline["metrics"]), "--out", str(out_dir)])

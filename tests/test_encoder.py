@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    finite_difference_gradient,
     max_relative_error,
     reference_encoder_backward,
     reference_task_representation,
@@ -30,7 +31,7 @@ from uglm.graphdata import (
     merge_packed,
     save_dataset,
 )
-from uglm.numcore import ParamSet, finite_difference_gradient
+from uglm.numcore import ParamSet
 from uglm.synthgen import DomainSpec, generate_domain
 
 
@@ -300,6 +301,23 @@ def test_built_batch_reused_across_parameters_is_bitwise_fresh(monkeypatch, chun
         assert np.array_equal(x, x_fresh)
         grads = encoder_backward(cache, upstream).flat
         assert np.array_equal(grads, encoder_backward(fresh, upstream).flat)
+
+
+@pytest.mark.parametrize("chunk", [8, 1 << 30])  # jagged-diagonal sums, then one bincount
+def test_stacked_forward_equals_one_forward_per_parameter_vector(monkeypatch, chunk):
+    monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+    rng = np.random.default_rng(39)
+    enc = MultiScaleEncoder.initialize(3, 5, 3, rng)
+    # hub 0 has in-degree 30, past the last pass of JAGGED_MIN_IDS ids; 31.. are isolated
+    hub = instance(34, [(v, 0) for v in range(1, 31)], rng.normal(size=(34, 3)), NodeTarget(node=0))
+    batch = GraphBatch.build([hub, *mixed_batch(rng, 3)], 3)
+    assert {kind for kind, _, _ in batch.heads} == {"node", "edge", "graph"}
+    stack = enc.params.flat + 0.1 * rng.normal(size=(7, enc.params.flat.size))
+    x, _ = forward(batch, enc.with_params(enc.params.with_flat(stack)))
+    assert x.shape == (7, len(batch.sizes), 5)
+    for p in range(7):
+        single, _ = forward(batch, enc.with_params(enc.params.with_flat(stack[p])))
+        assert np.allclose(x[p], single, rtol=1e-12, atol=0.0)
 
 
 def test_chunked_segment_sums_keep_every_rows_summation_order(monkeypatch):

@@ -1,12 +1,20 @@
+import math
+
+import numpy as np
+import pytest
+
 import uglm.gradcheck as gradcheck
+from oracles import finite_difference_gradient
 from uglm.encoder import forward, task_representation
 from uglm.gradcheck import (
     check_contrastive_gradients,
     check_encoder_gradients,
     check_instance_loss_gradients,
+    check_weighted_objective_gradients,
     run_gradcheck,
 )
-from uglm.numcore import finite_difference_gradient
+from uglm.errors import InvalidParameterError
+from uglm.numcore import FD_STACK_ENTRIES, stacked_finite_difference_gradient
 
 
 def test_instance_loss_check_encodes_each_trial_once(monkeypatch):
@@ -30,47 +38,90 @@ def test_instance_loss_check_encodes_each_trial_once(monkeypatch):
     assert result.passed
 
 
-def count_differenced_calls(monkeypatch, target):
+def count_stacked_calls(monkeypatch, target, stack_size):
     """Patch ``uglm.gradcheck.<target>`` and the oracle. The returned list
-    gets [entries differenced, calls of the target inside] per oracle run."""
+    gets [entries differenced, calls of the target inside, perturbed vectors
+    those calls ran] per oracle run; ``stack_size(result)`` reads a call's
+    number of vectors from what the target returned."""
     runs = []
     inside = []
     real = getattr(gradcheck, target)
 
     def counted(*args, **kwargs):
+        result = real(*args, **kwargs)
         if inside:
             runs[-1][1] += 1
-        return real(*args, **kwargs)
+            runs[-1][2] += stack_size(result)
+        return result
 
     def oracle(f, params, *args, **kwargs):
-        runs.append([params.flat.size, 0])
+        runs.append([params.flat.size, 0, 0])
         inside.append(True)
         try:
-            return finite_difference_gradient(f, params, *args, **kwargs)
+            return stacked_finite_difference_gradient(f, params, *args, **kwargs)
         finally:
             inside.pop()
 
     monkeypatch.setattr(f"uglm.gradcheck.{target}", counted)
-    monkeypatch.setattr("uglm.gradcheck.finite_difference_gradient", oracle)
+    monkeypatch.setattr("uglm.gradcheck.stacked_finite_difference_gradient", oracle)
     return runs
 
 
-def test_encoder_check_runs_two_forwards_per_parameter_entry(monkeypatch):
-    runs = count_differenced_calls(monkeypatch, "forward")
+def assert_stacked_runs(runs):
+    """One call per FD_STACK_ENTRIES entries, two perturbed vectors per entry."""
+    for entries, calls, vectors in runs:
+        assert calls == math.ceil(entries / FD_STACK_ENTRIES)
+        assert vectors == 2 * entries
+
+
+def test_encoder_check_stacks_two_perturbed_vectors_per_entry(monkeypatch):
+    runs = count_stacked_calls(monkeypatch, "forward", lambda result: result[0].shape[0])
     result = check_encoder_gradients(seed=0, trials=21)
     assert len(runs) == 21
-    assert all(calls == 2 * entries for entries, calls in runs)
-    assert sum(calls for _, calls in runs) == 11_924
+    assert_stacked_runs(runs)
+    assert sum(vectors for _, _, vectors in runs) == 11_924
+    assert any(calls > 1 for _, calls, _ in runs)  # some trials need more than one call
     assert result.max_rel_error == 0.0
 
 
-def test_contrastive_check_runs_two_losses_per_entry(monkeypatch):
-    runs = count_differenced_calls(monkeypatch, "dr_clip_forward")
+def test_contrastive_check_stacks_two_perturbed_vectors_per_entry(monkeypatch):
+    runs = count_stacked_calls(monkeypatch, "dr_clip_forward", lambda result: result.loss.shape[0])
     result = check_contrastive_gradients(seed=0, trials=21)
     assert len(runs) == 2 * 21  # graph rows, then adapter parameters
-    assert all(calls == 2 * entries for entries, calls in runs)
-    assert sum(calls for _, calls in runs) == 2_342
+    assert_stacked_runs(runs)
+    assert sum(vectors for _, _, vectors in runs) == 2_342
     assert f"{result.max_rel_error:.3e}" == "5.751e-08"
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        check_encoder_gradients,
+        check_contrastive_gradients,
+        check_instance_loss_gradients,
+        check_weighted_objective_gradients,
+    ],
+)
+def test_stacked_oracle_equals_the_entrywise_reference(monkeypatch, check):
+    # every function a check differences also takes a single parameter
+    # vector, so the reference runs it once per perturbed vector
+    worst = []
+
+    def both(f, params):
+        stacked = stacked_finite_difference_gradient(f, params)
+        worst.append(float(np.abs(stacked.flat - finite_difference_gradient(f, params).flat).max()))
+        return stacked
+
+    monkeypatch.setattr("uglm.gradcheck.stacked_finite_difference_gradient", both)
+    assert check(seed=0, trials=21).passed
+    assert len(worst) == 21 * (2 if check is check_contrastive_gradients else 1)
+    assert max(worst) <= 1e-9
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_a_check_over_no_configurations_is_rejected(trials):
+    with pytest.raises(InvalidParameterError, match="trials"):
+        run_gradcheck(0, trials)
 
 
 def test_seed_zero_max_errors_are_unchanged():

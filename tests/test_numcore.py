@@ -12,12 +12,13 @@ from uglm.errors import (
     NumericError,
 )
 from uglm.numcore import (
+    FD_STACK_ENTRIES,
     OptimizerState,
     ParamSet,
-    finite_difference_gradient,
     optimizer_step,
     row_cosine_similarity,
     softmax_with_temperature,
+    stacked_finite_difference_gradient,
 )
 
 
@@ -126,7 +127,7 @@ def test_softmax_sum_and_shift_invariance(values, tau, shift):
 
 def test_fd_square_function():
     params = ParamSet({"p": np.array([[3.0]])})
-    grad = finite_difference_gradient(lambda ps: float(ps["p"][0, 0]) ** 2, params)
+    grad = stacked_finite_difference_gradient(lambda ps: ps["p"][:, 0, 0] ** 2, params)
     assert grad["p"][0, 0] == pytest.approx(6.0, abs=1e-8)
     # the input ParamSet is untouched
     assert params["p"][0, 0] == 3.0
@@ -134,14 +135,14 @@ def test_fd_square_function():
 
 def test_fd_constant_function():
     params = ParamSet({"a": np.arange(6.0).reshape(2, 3)})
-    grad = finite_difference_gradient(lambda ps: 4.25, params)
+    grad = stacked_finite_difference_gradient(lambda ps: np.full(len(ps.flat), 4.25), params)
     assert np.array_equal(grad["a"], np.zeros((2, 3)))
 
 
 def test_fd_linear_function():
     params = ParamSet({"a": np.ones((2, 2)), "b": np.full((1, 3), 2.0)})
-    grad = finite_difference_gradient(
-        lambda ps: float(sum(arr.sum() for _, arr in ps.items())), params
+    grad = stacked_finite_difference_gradient(
+        lambda ps: sum(arr.sum(axis=(1, 2)) for _, arr in ps.items()), params
     )
     assert np.allclose(grad["a"], 1.0, atol=1e-9)
     assert np.allclose(grad["b"], 1.0, atol=1e-9)
@@ -151,21 +152,63 @@ def test_fd_nonfinite_names_parameter():
     params = ParamSet({"bad": np.array([[0.0]])})
 
     def f(ps):
-        return float("nan")
+        return np.full(len(ps.flat), np.nan)
 
     with pytest.raises(NumericError) as exc:
-        finite_difference_gradient(f, params)
+        stacked_finite_difference_gradient(f, params)
     assert "bad" in str(exc.value)
+
+
+def _inf_when_second_moves(ps):
+    return np.where(ps["second"][:, 1] != 0.0, np.inf, ps["first"].sum(axis=(1, 2)))
 
 
 def test_fd_nonfinite_names_the_second_parameter():
     params = ParamSet({"first": np.zeros((2, 2)), "second": np.zeros(3)})
+    with pytest.raises(NumericError, match="'second'"):
+        stacked_finite_difference_gradient(_inf_when_second_moves, params)
+
+
+def test_fd_nonfinite_names_a_parameter_in_a_later_call():
+    calls = []
 
     def f(ps):
-        return float("inf") if ps["second"][1] != 0.0 else float(ps["first"].sum())
+        calls.append(len(ps.flat))
+        return _inf_when_second_moves(ps)
 
+    params = ParamSet({"first": np.zeros((20, 15)), "second": np.zeros(3)})  # 'second' at 301
     with pytest.raises(NumericError, match="'second'"):
-        finite_difference_gradient(f, params)
+        stacked_finite_difference_gradient(f, params)
+    assert len(calls) == 301 // FD_STACK_ENTRIES + 1 > 1
+
+
+def test_fd_stacks_at_most_256_rows_per_call():
+    params = ParamSet({"w": np.linspace(-0.1, 0.1, 1000).reshape(40, 25), "b": np.ones(3)})
+    rows = []
+
+    def f(ps):
+        rows.append(ps.flat.shape)
+        return (ps["w"] ** 2).sum(axis=(1, 2)) + ps["b"].sum(axis=1)
+
+    grad = stacked_finite_difference_gradient(f, params)
+    full, rest = divmod(1003, FD_STACK_ENTRIES)
+    assert [p for p, _ in rows] == [2 * FD_STACK_ENTRIES] * full + [2 * rest] * (rest > 0)
+    assert max(p for p, _ in rows) <= 256
+    assert all(n == 1003 for _, n in rows)
+    assert np.allclose(grad["w"], 2.0 * params["w"], rtol=0.0, atol=1e-9)
+    assert np.allclose(grad["b"], 1.0, atol=1e-9)
+
+
+def test_stacked_row_functions_equal_their_slices():
+    rng = np.random.default_rng(0)
+    x, t = rng.normal(size=(7, 4, 3)), rng.normal(size=(5, 3))
+    stacked = row_cosine_similarity(x, t)
+    assert stacked.shape == (7, 4, 5)
+    for p in range(7):
+        assert np.array_equal(stacked[p], row_cosine_similarity(x[p], t))
+    x[3, 2] = 0.0
+    with pytest.raises(DegenerateInputError, match="x row 2"):
+        row_cosine_similarity(x, t)
 
 
 # --------------------------------------------------------------- optimizers
@@ -271,6 +314,20 @@ def test_with_flat_rejects_a_vector_of_the_wrong_size():
     for bad in (np.zeros(8), np.zeros(10), np.zeros((9, 1))):
         with pytest.raises(DimensionError):
             ps.with_flat(bad)
+
+
+def test_with_flat_over_a_stack_gives_stacked_views():
+    ps = ParamSet({"w": np.zeros((2, 3)), "b": np.zeros(3)})
+    stack = np.arange(4 * 9.0).reshape(4, 9)
+    stacked = ps.with_flat(stack)
+    assert stacked["w"].shape == (4, 2, 3) and stacked["b"].shape == (4, 3)
+    for p in range(4):
+        single = ps.with_flat(stack[p])
+        assert np.array_equal(stacked["w"][p], single["w"])
+        assert np.array_equal(stacked["b"][p], single["b"])
+    assert np.shares_memory(stacked["b"], stack)
+    with pytest.raises(DimensionError):
+        ps.with_flat(np.zeros((2, 2, 9)))
 
 
 def test_max_relative_error_denominator_floor():

@@ -6,7 +6,7 @@ import pytest
 from uglm.encoder import encode_packed
 from uglm.errors import ContractError, DegenerateInputError, DimensionError, EmptyDataError
 from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits, load_dataset, save_dataset
-from uglm.numcore import ParamSet, finite_difference_gradient
+from uglm.numcore import ParamSet
 from uglm.persist import param_fingerprint
 from uglm.pretrain import (
     DomainCenters,
@@ -175,7 +175,9 @@ def test_weight_properties_on_random_centers():
 # ----------------------------------------------------------------- DR-CLIP
 
 
-from oracles import brute_force_dr_clip, brute_force_infonce, max_relative_error  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_force_dr_clip, brute_force_infonce, finite_difference_gradient, max_relative_error,
+)
 
 
 def test_single_pair_batch_loss_zero():
@@ -333,6 +335,27 @@ def test_loss_forward_is_the_loss_of_dr_clip_loss(tau, with_adapter, n_domains):
     wg, wt = pair_weights(ids, weights)
     expected = dr_clip_loss(x, t, ids, weights, tau, adapter).loss
     assert dr_clip_forward(x, t, wg, wt, tau, adapter).loss == expected
+
+
+@pytest.mark.parametrize("tau", [1.0, 0.07])
+def test_stacked_loss_forward_equals_one_call_per_stack_row(tau):
+    rng = np.random.default_rng(47)
+    domains = ["d0", "d1", "d2"]
+    weights = build_domain_weights(centers_from({name: rng.normal(size=4) for name in domains}))
+    wg, wt = pair_weights([domains[i % 3] for i in rng.permutation(6)], weights)
+    x, t = rng.normal(size=(6, 5)), rng.normal(size=(6, 3))
+    adapter = TextAdapter.initialize(3, 5, rng)
+    xs = x + 0.1 * rng.normal(size=(7, 6, 5))  # a stack of graph rows
+    loss = dr_clip_forward(xs, t, wg, wt, tau, adapter).loss
+    assert loss.shape == (7,)
+    singles = [dr_clip_forward(xs[p], t, wg, wt, tau, adapter).loss for p in range(7)]
+    assert np.allclose(loss, singles, rtol=1e-12, atol=0.0)
+    base = adapter.params()
+    stack = base.flat + 0.1 * rng.normal(size=(7, base.flat.size))  # a stack of adapters
+    loss = dr_clip_forward(x, t, wg, wt, tau, adapter.with_params(base.with_flat(stack))).loss
+    assert loss.shape == (7,)
+    singles = [dr_clip_forward(x, t, wg, wt, tau, adapter.with_params(base.with_flat(row))).loss for row in stack]
+    assert np.allclose(loss, singles, rtol=1e-12, atol=0.0)
 
 
 # ------------------------------------------------------------- pretrain loop
