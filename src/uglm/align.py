@@ -28,7 +28,7 @@ import numpy as np
 
 from .encoder import MultiScaleEncoder, encode_packed, task_representation, uniform_init
 from .errors import ContractError, EmptyDataError, InvalidParameterError
-from .graphdata import Batch, DomainDataset, GraphInstance, iterate_epochs
+from .graphdata import DomainDataset, GraphInstance, iterate_epochs
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
 from .persist import Checkpoint
 
@@ -152,13 +152,11 @@ class EncodedRows:
     domains: tuple[str, ...]
     head_weight: np.ndarray  # FrozenHead.table(domains): (len(domains) * K, width)
     head_bias: np.ndarray  # and (len(domains), K)
-    row_of: dict[tuple[DomainDataset, int], int] = field(default_factory=dict)
 
-    def take(self, items: list[tuple[DomainDataset, int]]) -> "EncodedRows":
-        """The rows of the (dataset, instance index) ``items``, in their order."""
-        idx = [self.row_of[item] for item in items]
+    def take(self, rows) -> "EncodedRows":
+        """The rows at indices ``rows`` (a batch of pool rows), in their order."""
         head = (self.domains, self.head_weight, self.head_bias)
-        return EncodedRows(self.rows[idx], self.domain[idx], self.label[idx], *head)
+        return EncodedRows(self.rows[rows], self.domain[rows], self.label[rows], *head)
 
 
 def _checked_label(head: FrozenHead, domain: str, label: int | None, place: str) -> int:
@@ -176,29 +174,22 @@ def _checked_label(head: FrozenHead, domain: str, label: int | None, place: str)
 def encode_rows(
     encoder: MultiScaleEncoder, head: FrozenHead, parts: list[tuple[DomainDataset, list[int]]]
 ) -> EncodedRows:
-    """The (dataset, instance indices) ``parts``, all checked before any is
-    encoded, then encoded in one batch per dataset. A bad label is named by
-    its file and line (instance i is line i + 2)."""
-    items = [(ds, i) for ds, indices in parts for i in indices]
-    packed = [(ds.packed(), ds.task, indices) for ds, indices in parts]
+    """The (dataset, instance indices) ``parts``, in order, all checked before
+    any is encoded, then encoded in one batch per dataset. A bad label is
+    named by ``DomainDataset.place``."""
     labels = [
-        _checked_label(
-            head, ds.domain, None if label == -1 else label,
-            f"{ds.graph_path}:{i + 2}" if ds.graph_path else f"domain {ds.domain!r} instance {i}",
-        )
-        for (ds, indices), (arrays, _, _) in zip(parts, packed)
-        for i, label in zip(indices, arrays["label"][indices].tolist())
+        _checked_label(head, ds.domain, None if label == -1 else label, ds.place(i))
+        for ds, indices in parts
+        for i, label in zip(indices, ds.arrays["label"][indices].tolist())
     ]
     domains = tuple(sorted({ds.domain for ds, _ in parts}))
     x = np.concatenate([np.zeros((0, encoder.hidden_dim))] + [
-        encode_packed(arrays, indices, kind, encoder)[0]
-        for arrays, kind, indices in packed if indices
+        encode_packed(ds.arrays, indices, ds.task, encoder)[0] for ds, indices in parts if indices
     ])
     return EncodedRows(
         np.hstack([x, np.ones((len(x), 1))]),
-        np.array([domains.index(ds.domain) for ds, _ in items], dtype=np.intp),
+        np.array([domains.index(ds.domain) for ds, indices in parts for _ in indices], dtype=np.intp),
         np.array(labels, dtype=np.intp), domains, *head.table(domains),
-        {item: row for row, item in enumerate(items)},
     )
 
 
@@ -402,14 +393,14 @@ class AlignState:
 
 
 def align_step(
-    batch: Batch,
+    batch: np.ndarray,
     state: AlignState,
     config: AlignConfig,
     encoded: EncodedRows,
 ) -> AlignState:
-    """One curriculum step over the batch's encoded rows: losses,
-    difficulties, weights, update on theta."""
-    rows = encoded.take(batch.items)
+    """One curriculum step over the encoded rows at ``batch``, pool rows from
+    ``iterate_epochs``: losses, difficulties, weights, update on theta."""
+    rows = encoded.take(batch)
     probs, loss = score_rows(rows, state.projector)
     grads, norms = domain_mean_gradient(rows, probs)
     active = np.flatnonzero(np.bincount(rows.domain, minlength=len(rows.domains)))
@@ -465,7 +456,7 @@ def align_loop(
     )
     if config.total_steps == 0:
         return state, head
-    encoded = encode_rows(encoder, head, [(ds, ds.splits.train) for ds in datasets])
+    encoded = encode_rows(encoder, head, [(ds, ds.splits.train) for ds in datasets])  # the train pool
     if not len(encoded.rows):
         raise EmptyDataError("no training instances in any dataset")
     per_epoch = (len(encoded.rows) + config.batch_size - 1) // config.batch_size

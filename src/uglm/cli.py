@@ -22,7 +22,7 @@ import numpy as np
 
 from .align import align_loop, evaluate_classification, projector_from_checkpoint, projector_to_checkpoint
 from .config import load_run_config
-from .errors import ContractError, EmptyDataError, InvalidParameterError, UglmError
+from .errors import ContractError, EmptyDataError, InvalidParameterError, UglmError, ValidationError
 from .gradcheck import GRADCHECK_TOLERANCE, run_gradcheck
 from .graphdata import DomainDataset, load_dataset
 from .persist import (
@@ -78,7 +78,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", required=True, choices=["retrieval", "classification"])
     p.add_argument("--pool", type=int, default=100, help="retrieval candidate pool size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=["train", "val", "test"],
+                   help="classification split; retrieval always draws its pool from val+test")
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
@@ -100,11 +101,15 @@ def _discover_datasets(data_dir: str) -> list[DomainDataset]:
     graph_paths = sorted(glob.glob(os.path.join(data_dir, "*.jsonl")))
     if not graph_paths:
         raise EmptyDataError(f"no *.jsonl dataset files found in {data_dir}")
-    datasets = []
+    datasets: dict[str, DomainDataset] = {}
     for graph_path in graph_paths:
-        emb_path = graph_path[: -len(".jsonl")] + ".emb"
-        datasets.append(load_dataset(graph_path, emb_path))
-    return datasets
+        ds = load_dataset(graph_path, graph_path[: -len(".jsonl")] + ".emb")
+        if ds.domain in datasets:
+            raise ValidationError(
+                f"{datasets[ds.domain].graph_path} and {graph_path} both hold domain {ds.domain!r}"
+            )
+        datasets[ds.domain] = ds
+    return list(datasets.values())
 
 
 def _from_checkpoint(convert, path):

@@ -221,7 +221,7 @@ class GraphBatch:
 
 
 @dataclass
-class BatchCache:
+class ForwardCache:
     """Forward intermediates of one forward over ``batch``."""
 
     encoder: MultiScaleEncoder
@@ -232,7 +232,7 @@ class BatchCache:
     heads: list[np.ndarray] | None  # head inputs, one per entry of batch.heads
 
 
-def forward(batch: GraphBatch, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCache]:
+def forward(batch: GraphBatch, enc: MultiScaleEncoder) -> tuple[Matrix, ForwardCache]:
     """Representations (B x d) of a built batch under ``enc``'s parameters.
 
     Only arithmetic: the structure comes from ``batch``. Row b depends only
@@ -268,24 +268,24 @@ def forward(batch: GraphBatch, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCac
         name = HEAD_NAMES[kind]
         x[..., rows, :] = concat @ params[f"{name}.weight"] + params[f"{name}.bias"][..., None, :]
         heads.append(concat)
-    return x, BatchCache(enc, batch, layers, h, h_graph, heads)
+    return x, ForwardCache(enc, batch, layers, h, h_graph, heads)
 
 
-def encode_packed(arrays: dict, rows, kinds, enc: MultiScaleEncoder) -> tuple[Matrix, BatchCache]:
+def encode_packed(arrays: dict, rows, kinds, enc: MultiScaleEncoder) -> tuple[Matrix, ForwardCache]:
     """Representations (B x d) of packed instances; see ``GraphBatch.from_packed``."""
     return forward(GraphBatch.from_packed(arrays, rows, kinds), enc)
 
 
 def encode_batch(
     instances: list[GraphInstance], enc: MultiScaleEncoder
-) -> tuple[Matrix, BatchCache]:
+) -> tuple[Matrix, ForwardCache]:
     """Representations (B x d) of a batch, each at its target's granularity."""
     return forward(GraphBatch.build(instances, enc.input_dim), enc)
 
 
 def encode_node_graph(
     g: GraphInstance, enc: MultiScaleEncoder
-) -> tuple[Matrix, np.ndarray, BatchCache]:
+) -> tuple[Matrix, np.ndarray, ForwardCache]:
     """Node rows after all layers and their mean-pooled graph row.
 
     The cache carries no head inputs, so it cannot seed a backward.
@@ -294,7 +294,7 @@ def encode_node_graph(
     return cache.h_node, cache.h_graph[0], replace(cache, heads=None)
 
 
-def task_representation(g: GraphInstance, enc: MultiScaleEncoder) -> tuple[np.ndarray, BatchCache]:
+def task_representation(g: GraphInstance, enc: MultiScaleEncoder) -> tuple[np.ndarray, ForwardCache]:
     """Same-dimension representation at the instance's target granularity."""
     x, cache = encode_batch([g], enc)
     return x[0], cache
@@ -304,7 +304,7 @@ def task_representation(g: GraphInstance, enc: MultiScaleEncoder) -> tuple[np.nd
 
 
 def encoder_backward(
-    cache: BatchCache, upstream: np.ndarray, out: np.ndarray | None = None
+    cache: ForwardCache, upstream: np.ndarray, out: np.ndarray | None = None
 ) -> ParamSet:
     """Exact gradients of sum_b upstream[b] . x[b] for every encoder parameter.
 

@@ -215,15 +215,16 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
                 g = _random_instance(rng, int(rng.integers(2, 6)), d_in, kind, name)
                 g.label = int(rng.integers(0, classes[name]))
                 instances.append(g)
-            datasets[name] = DomainDataset(
+            datasets[name] = DomainDataset.from_instances(
                 name, kind, classes[name], instances, np.zeros((3, 2)), Splits(train=[0, 1, 2])
             )
-        items = [(datasets["a"], 0), (datasets["a"], 1), (datasets["b"], 0), (datasets["b"], 2)]
         w_fixed = {"a": float(rng.uniform(0.2, 0.8))}
         w_fixed["b"] = 1.0 - w_fixed["a"]
 
-        # the step's scorer and gradient; only the projector is perturbed below
-        rows = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets.values()]).take(items)
+        # the step's scorer and gradient over pool rows a0, a1, b0, b2; only the
+        # projector is perturbed below
+        pool = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets.values()])
+        rows = pool.take([0, 1, 3, 5])
         weights = np.array([w_fixed[name] for name in rows.domains])
         probs, _ = score_rows(rows, proj)
         analytic = projector_gradient(proj, rows, domain_mean_gradient(rows, probs)[0], weights)

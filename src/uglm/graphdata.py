@@ -19,9 +19,11 @@ checked (one row per edge), then dropped. A parse is cached in the sidecar
 by the SHA-256 of the JSONL bytes and ``PACK_VERSION``. A missing, corrupt,
 stale or ill-shaped sidecar is rewritten, so deleting one is always safe.
 
-Batches are range gathers from the same arrays (``encoder.GraphBatch.
-from_packed``). A loaded domain builds its ``GraphInstance`` objects only
-when asked; one made of instances is packed whenever a stage starts.
+A ``DomainDataset`` holds its instances only as these arrays, read-only and
+validated once when it is built, whether from a file (``load_dataset``) or
+from ``GraphInstance`` objects (``DomainDataset.from_instances``). Batches
+are rows of the train pool (``iterate_epochs``), gathered from the arrays
+by ``encoder.GraphBatch.from_packed``.
 """
 
 from __future__ import annotations
@@ -127,55 +129,56 @@ class Splits:
 
 @dataclass(eq=False)
 class DomainDataset:
-    """All instances of one domain plus its text-embedding table. ``load_dataset``
-    passes ``instances=None`` and the file's ``PACK_ARRAYS`` as ``file_arrays``;
-    the instances are then built on first access."""
+    """One domain: its instances as the ``PACK_ARRAYS`` plus its text-embedding
+    table. Building one validates the arrays (``_validate``), then makes all
+    seven read-only, so every dataset a stage sees has passed the checks."""
 
     domain: str
     task: TaskKind
     num_classes: int
-    instances: list[GraphInstance] | None
+    arrays: dict[str, np.ndarray] = field(repr=False)
     text_embeddings: np.ndarray
     splits: Splits
-    graph_path: str | None = None  # load_dataset sets these three
+    graph_path: str | None = None  # load_dataset sets these two
     sha256: dict[str, str] = field(default_factory=dict)  # "graphs" and "embeddings" files
-    file_arrays: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.instances is None:
-            del self.instances  # built by __getattr__ when first read
+        _validate(self)
+        for array in self.arrays.values():
+            array.flags.writeable = False
 
-    def __getattr__(self, name: str):
-        if name != "instances" or self.file_arrays is None:
-            raise AttributeError(name)
-        self.instances = _unpack(self.file_arrays, self.task, self.domain)
-        return self.instances
+    @classmethod
+    def from_instances(
+        cls, domain: str, task: TaskKind, num_classes: int, instances: Sequence[GraphInstance],
+        text_embeddings: np.ndarray, splits: Splits,
+    ) -> "DomainDataset":
+        """A domain built in memory: ``instances`` packed once, then validated."""
+        for i, g in enumerate(instances):  # what packing loses, checked as _parse_instance does
+            if (kind := target_kind(g.target)) != task:
+                raise ValidationError(f"domain {domain!r} instance {i}: field target: kind {kind!r} "
+                                      f"does not match dataset task {task!r}")
+            if g.label == -1:  # -1 is null once packed
+                raise ValidationError(
+                    f"domain {domain!r} instance {i}: label -1 not in [0,{num_classes})"
+                )
+        dim = np.shape(instances[0].node_features)[1] if instances else 0
+        return cls(domain, task, num_classes, pack_instances(instances, dim), text_embeddings, splits)
 
-    def packed(self) -> dict[str, np.ndarray]:
-        """The ``PACK_ARRAYS`` batches are built from: the file's own while no
-        instance has been built, else the instances packed now, edits and all."""
-        if "instances" not in vars(self):
-            return self.file_arrays
-        dim = np.shape(self.instances[0].node_features)[1] if self.instances else 0
-        return pack_instances(self.instances, dim)
+    def place(self, i: int | None = None) -> str:
+        """Where instance ``i`` (None: the whole domain) comes from, for errors:
+        ``path:line`` (instance i is line i + 2, the header line 1), else
+        ``domain 'd' instance i``."""
+        if self.graph_path:
+            return f"{self.graph_path}:{1 if i is None else i + 2}"
+        return f"domain {self.domain!r}" + ("" if i is None else f" instance {i}")
 
     @property
     def feature_dim(self) -> int:
-        return int(self.packed()["node_features"].shape[1])
+        return int(self.arrays["node_features"].shape[1])
 
     @property
     def text_dim(self) -> int:
         return int(self.text_embeddings.shape[1])
-
-
-@dataclass(eq=False)
-class Batch:
-    """Sampled (dataset, instance index) pairs."""
-
-    items: list[tuple[DomainDataset, int]]
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 def _pack(feats: Sequence[np.ndarray], edges: Sequence[np.ndarray], scalars: np.ndarray, dim: int) -> dict:
@@ -231,37 +234,25 @@ def merge_packed(parts: Sequence[dict]) -> dict:
     return merged
 
 
-def _unpack(arrays: dict, task: TaskKind, domain: str) -> list[GraphInstance]:
-    """The instances of packed arrays: edge tuples in file order, feature row views."""
-    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
-    node_off, edge_off, pairs = node_off.tolist(), edge_off.tolist(), list(zip(*edges.T.tolist()))
-    return [
-        GraphInstance(
-            num_nodes=node_off[i + 1] - node_off[i], edges=pairs[edge_off[i] : edge_off[i + 1]],
-            node_features=feats[node_off[i] : node_off[i + 1]], text_index=text_index,
-            target=NodeTarget(u) if task == "node" else EdgeTarget((u, v)) if task == "edge"
-            else GraphTarget(),
-            domain=domain, label=None if lab == -1 else lab,
-        )
-        for i, ((u, v), lab, text_index) in enumerate(zip(target.tolist(), label.tolist(), text.tolist()))
-    ]
-
-
 # ------------------------------------------------------------- validation
 
 
-def _validate_packed(arrays: dict, meta: dict, n_texts: int, path) -> None:
-    """Every dataset invariant over the packed arrays. Errors name ``path:line``
-    (instance i is line i + 2) and list all that the first bad instance breaks."""
-    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
+def _validate(ds: DomainDataset) -> None:
+    """Every dataset invariant over the packed arrays. Errors name ``ds.place``
+    and list all that the first bad instance breaks."""
+    feats, node_off, edges, edge_off, target, label, text = (ds.arrays[k] for k in PACK_ARRAYS)
+    task, classes, n, n_texts = ds.task, ds.num_classes, len(label), len(ds.text_embeddings)
+    if n == 0:
+        raise EmptyDataError(f"{ds.place()}: no instances")
     bad_row = ~np.isfinite(feats).all(axis=1)
     if bad_row.any():
         i = np.searchsorted(node_off, np.argmax(bad_row), side="right") - 1
-        raise ParseError(f"{path}:{i + 2}: node_features has non-finite entries")
-    task, classes, n = meta["task"], meta["classes"], len(label)
+        raise ParseError(f"{ds.place(i)}: node_features has non-finite entries")
     if not 1 <= classes <= MAX_CLASSES:
-        raise ValidationError(f"{path}:1: class count must lie in [1,{MAX_CLASSES}], got {classes}")
+        raise ValidationError(f"{ds.place()}: class count must lie in [1,{MAX_CLASSES}], got {classes}")
     sizes, edge_of = np.diff(node_off), np.repeat(np.arange(n), np.diff(edge_off))
+    if (sizes < 1).any():
+        raise ValidationError(f"{ds.place(int(np.argmin(sizes)))}: instance has no nodes")
     edge_ok = (edges.min(axis=1) >= 0) & (edges.max(axis=1) < sizes[edge_of])
     target_ok = ((target >= 0) & (target < sizes[:, None])).all(axis=1)
     if task == "edge":  # some edge of the instance equals its target
@@ -286,13 +277,13 @@ def _validate_packed(arrays: dict, meta: dict, n_texts: int, path) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         problems = "; ".join(say(i) for mask, say in checks if mask[i])
-        raise ValidationError(f"{path}:{i + 2}: {problems}")
+        raise ValidationError(f"{ds.place(i)}: {problems}")
     seen: set[int] = set()
     for name in SPLIT_NAMES:
-        for idx in meta["splits"][name]:
+        for idx in getattr(ds.splits, name):
             problem = "appears in two splits" if idx in seen else f"not in [0,{n})"
             if idx in seen or not 0 <= idx < n:
-                raise ValidationError(f"{path}:1: split {name}: index {idx} {problem}")
+                raise ValidationError(f"{ds.place()}: split {name}: index {idx} {problem}")
             seen.add(idx)
 
 
@@ -339,7 +330,7 @@ def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
 
 
 def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
-    """Write the JSONL + embedding pair of ``ds.packed()``; output bytes are deterministic."""
+    """Write the JSONL + embedding pair of ``ds``; output bytes are deterministic."""
     header = {
         "format": GRAPH_FORMAT_NAME,
         "version": GRAPH_FORMAT_VERSION,
@@ -348,7 +339,7 @@ def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
         "classes": ds.num_classes,
         "splits": {name: list(getattr(ds.splits, name)) for name in SPLIT_NAMES},
     }
-    feats, node_off, edges, edge_off, target, label, text = (ds.packed()[k] for k in PACK_ARRAYS)
+    feats, node_off, edges, edge_off, target, label, text = (ds.arrays[k] for k in PACK_ARRAYS)
     node_off, edge_off = node_off.tolist(), edge_off.tolist()
     lines = [json.dumps(header, separators=(",", ":"))]
     for i, ((u, v), lab, text_index) in enumerate(zip(target.tolist(), label.tolist(), text.tolist())):
@@ -514,18 +505,15 @@ def load_dataset(graph_path, embedding_path) -> DomainDataset:
     del blob  # a parse holds the file once, as its lines
     arrays, header = packed or _parse_jsonl(lines, graph_path)
     emb_blob = Path(embedding_path).read_bytes()
-    embeddings = _decode_embeddings(emb_blob, embedding_path)
-    _validate_packed(arrays, header, embeddings.shape[0], graph_path)
-    if packed is None:
-        _write_pack(arrays, header, key, pack_path)
-
-    arrays["node_features"].flags.writeable = False  # instances get row views of it
     splits = Splits(*(header["splits"][name] for name in SPLIT_NAMES))
     sha256 = {"graphs": key, "embeddings": hashlib.sha256(emb_blob).hexdigest()}
-    return DomainDataset(
-        header["domain"], header["task"], header["classes"], None, embeddings, splits,
-        str(graph_path), sha256, arrays,
+    ds = DomainDataset(
+        header["domain"], header["task"], header["classes"], arrays,
+        _decode_embeddings(emb_blob, embedding_path), splits, str(graph_path), sha256,
     )
+    if packed is None:
+        _write_pack(arrays, header, key, pack_path)
+    return ds
 
 
 # --------------------------------------------------------------- batching
@@ -536,17 +524,19 @@ def iterate_epochs(
     batch_size: int,
     epochs: int,
     rng: np.random.Generator,
-) -> Iterator[Batch]:
-    """Shuffled-union epochs: one reshuffle per epoch, contiguous batches,
-    final partial batch kept. Deterministic given the generator state."""
+) -> Iterator[np.ndarray]:
+    """Shuffled-union epochs as arrays of rows into the train pool, whose row r
+    is the r-th train instance with the datasets' train splits laid end to
+    end in order. One reshuffle per epoch, contiguous batches, final partial
+    batch kept. Deterministic given the generator state."""
     if batch_size < 1:
         raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
     if epochs < 0:
         raise InvalidParameterError(f"epochs must be >= 0, got {epochs}")
-    pool = [(ds, idx) for ds in datasets for idx in ds.splits.train]
-    if not pool:
+    size = sum(len(ds.splits.train) for ds in datasets)
+    if not size:
         raise EmptyDataError("no training instances in any dataset")
     for _ in range(epochs):
-        order = rng.permutation(len(pool))
-        for start in range(0, len(pool), batch_size):
-            yield Batch([pool[int(j)] for j in order[start : start + batch_size]])
+        order = rng.permutation(size)
+        for start in range(0, size, batch_size):
+            yield order[start : start + batch_size]

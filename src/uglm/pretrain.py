@@ -118,10 +118,8 @@ def compute_domain_centers(
     text_centers: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
     for ds in datasets:
-        arrays = ds.packed()
+        arrays = ds.arrays
         feats, node_off, n = arrays["node_features"], arrays["node_offsets"], len(arrays["label"])
-        if n == 0:
-            raise EmptyDataError(f"domain {ds.domain!r} has no instances")
         k = min(cap, n)
         chosen = rng.permutation(n)[:k]
         feat_means = np.stack([feats[node_off[i] : node_off[i + 1]].mean(axis=0) for i in chosen])
@@ -325,14 +323,15 @@ def _stage1_arrays(
     return arrays
 
 
-def _train_pool(datasets: list[DomainDataset]) -> tuple[dict, dict, np.ndarray, np.ndarray]:
+def _train_pool(datasets: list[DomainDataset]) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
     """Every train instance in one packed set, in the order of iterate_epochs'
-    pool; the row of each (dataset, index) item; each row's kind and text row."""
-    parts = [take_packed(ds.packed(), np.array(ds.splits.train, dtype=np.intp)) for ds in datasets]
-    row_of = {item: r for r, item in enumerate((ds, i) for ds in datasets for i in ds.splits.train)}
-    kinds = np.repeat([ds.task for ds in datasets], [len(ds.splits.train) for ds in datasets])
+    pool; each row's target kind, domain and text row."""
+    parts = [take_packed(ds.arrays, np.array(ds.splits.train, dtype=np.intp)) for ds in datasets]
+    counts = [len(ds.splits.train) for ds in datasets]
+    kinds = np.repeat([ds.task for ds in datasets], counts)
+    domains = np.repeat([ds.domain for ds in datasets], counts)
     texts = np.concatenate([ds.text_embeddings[a["text_index"]] for ds, a in zip(datasets, parts)])
-    return merge_packed(parts), row_of, kinds, texts
+    return merge_packed(parts), kinds, domains, texts
 
 
 def pretrain_loop(
@@ -358,14 +357,12 @@ def pretrain_loop(
     total = sum(len(ds.splits.train) for ds in datasets)
     per_epoch = (total + config.batch_size - 1) // config.batch_size
 
-    packed, row_of, kinds, texts = _train_pool(datasets)
+    packed, kinds, domains, texts = _train_pool(datasets)
     loss_sum, seen, batch_count = 0.0, 0, 0
-    for batch in batches:  # one encode and one backward per batch
-        rows = np.array([row_of[item] for item in batch.items])
+    for rows in batches:  # one encode and one backward per batch
         x, cache = encode_packed(packed, rows, kinds[rows], enc)
-        t = texts[rows]
-        ids = [ds.domain for ds, _ in batch.items]
-        result = dr_clip_loss(x, t, ids, weights, config.temperature, adapter)
+        ids = domains[rows].tolist()
+        result = dr_clip_loss(x, texts[rows], ids, weights, config.temperature, adapter)
         grads = params.zeros_like()
         encoder_backward(cache, result.grad_x, out=grads.flat[:n_enc])
         if result.grad_adapter is not None:
@@ -375,8 +372,8 @@ def pretrain_loop(
         if adapter is not None:
             adapter = adapter.with_params(params)
 
-        loss_sum += result.loss * len(batch)
-        seen += len(batch)
+        loss_sum += result.loss * len(rows)
+        seen += len(rows)
         batch_count += 1
         if batch_count == per_epoch:
             epoch_losses.append(loss_sum / seen)
@@ -455,9 +452,8 @@ def evaluate_retrieval(
         )
     chosen = rng.permutation(len(held))[:pool_size]
     indices = [held[int(i)] for i in chosen]
-    arrays = dataset.packed()
-    x, _ = encode_packed(arrays, indices, dataset.task, encoder)
-    t = dataset.text_embeddings[arrays["text_index"][indices]]
+    x, _ = encode_packed(dataset.arrays, indices, dataset.task, encoder)
+    t = dataset.text_embeddings[dataset.arrays["text_index"][indices]]
     if adapter is not None:
         t = adapter.apply(t)
     cos = row_cosine_similarity(x, t)

@@ -130,7 +130,9 @@ def generate_domain(spec: DomainSpec) -> tuple[DomainDataset, np.ndarray]:
         val=sorted(int(i) for i in order[n_train : n_train + n_val]),
         test=sorted(int(i) for i in order[n_train + n_val :]),
     )
-    dataset = DomainDataset(spec.domain, spec.task, spec.num_classes, instances, embeddings, splits)
+    dataset = DomainDataset.from_instances(
+        spec.domain, spec.task, spec.num_classes, instances, embeddings, splits
+    )
     return dataset, embeddings
 
 

@@ -11,14 +11,14 @@ is the reference for the package's stacked one.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from uglm.align import MetricsRow, curriculum_weights, update_difficulty
 from uglm.encoder import HEAD_NAMES, task_representation
 from uglm.errors import InvalidParameterError, NumericError
-from uglm.graphdata import target_kind
+from uglm.graphdata import PACK_ARRAYS, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, target_kind
 from uglm.numcore import optimizer_step, row_cosine_similarity
 
 
@@ -54,28 +54,42 @@ def brute_force_infonce(x, t, tau):
 
 
 def datasets_equal(a, b):
-    """Structural equality of two DomainDatasets, used by round-trip tests."""
+    """Equality of two DomainDatasets' header fields and arrays, dtypes
+    included, used by round-trip tests."""
     if (a.domain, a.task, a.num_classes) != (b.domain, b.task, b.num_classes):
         return False
     if (a.splits.train, a.splits.val, a.splits.test) != (b.splits.train, b.splits.val, b.splits.test):
         return False
-    if not np.array_equal(a.text_embeddings, b.text_embeddings):
-        return False
-    if len(a.instances) != len(b.instances):
-        return False
-    for x, y in zip(a.instances, b.instances):
-        if (x.num_nodes, x.edges, x.target, x.label, x.text_index, x.domain) != (
-            y.num_nodes,
-            y.edges,
-            y.target,
-            y.label,
-            y.text_index,
-            y.domain,
-        ):
-            return False
-        if not np.array_equal(x.node_features, y.node_features):
-            return False
-    return True
+    pairs = [(a.text_embeddings, b.text_embeddings)] + [(a.arrays[k], b.arrays[k]) for k in PACK_ARRAYS]
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
+
+
+def with_labels(ds, labels):
+    """``ds`` with the labels of {instance index: label or None} replaced; the
+    constructor validates them, as it does every dataset's."""
+    label = ds.arrays["label"].copy()
+    for i, value in labels.items():
+        label[i] = -1 if value is None else value
+    return replace(ds, arrays={**ds.arrays, "label": label})
+
+
+def instance_of(ds, i):
+    """Instance ``i`` of a dataset as a GraphInstance, read off its arrays."""
+    a = ds.arrays
+    nodes, edges = (slice(*a[k][i : i + 2].tolist()) for k in ("node_offsets", "edge_offsets"))
+    u, v = a["target"][i].tolist()
+    target = {"node": NodeTarget(u), "edge": EdgeTarget((u, v)), "graph": GraphTarget()}[ds.task]
+    label = int(a["label"][i])
+    return GraphInstance(
+        num_nodes=nodes.stop - nodes.start, edges=[tuple(e) for e in a["edges"][edges].tolist()],
+        node_features=a["node_features"][nodes], target=target, text_index=int(a["text_index"][i]),
+        domain=ds.domain, label=None if label == -1 else label,
+    )
+
+
+def train_pool(datasets):
+    """The (dataset, instance index) of every row of iterate_epochs' pool."""
+    return [(ds, i) for ds in datasets for i in ds.splits.train]
 
 
 def max_relative_error(a, b):
@@ -160,14 +174,14 @@ def reference_domain_gradient(group, proj, head):
     return total
 
 
-def reference_align_step(batch, state, config, encoder, head):
-    """Stage II's step one instance at a time: each batch item is encoded
-    alone, scored through the query vector, and its domain's gradient is
-    summed outer product by outer product. The tracker, weights and Adam
-    update are the package's own."""
+def reference_align_step(items, state, config, encoder, head):
+    """Stage II's step one instance at a time: each (dataset, instance index)
+    of ``items`` is encoded alone, scored through the query vector, and its
+    domain's gradient is summed outer product by outer product. The tracker,
+    weights and Adam update are the package's own."""
     groups, losses = {}, {}
-    for ds, index in batch.items:
-        inst = ds.instances[index]
+    for ds, index in items:
+        inst = instance_of(ds, index)
         x_star, _ = task_representation(inst, encoder)
         loss, probs = reference_instance_scores(x_star, inst.domain, inst.label, state.projector, head)
         groups.setdefault(inst.domain, []).append((x_star, inst.domain, inst.label, probs))

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import finite_difference_gradient, max_relative_error, reference_align_step
+from oracles import (
+    finite_difference_gradient,
+    instance_of,
+    max_relative_error,
+    reference_align_step,
+    train_pool,
+    with_labels,
+)
 from uglm.align import (
     AlignConfig,
     AlignState,
@@ -27,8 +34,8 @@ from uglm.align import (
     update_difficulty,
 )
 from uglm.encoder import MultiScaleEncoder, encode_packed
-from uglm.errors import ContractError, EmptyDataError
-from uglm.graphdata import Batch, iterate_epochs, load_dataset, save_dataset
+from uglm.errors import ContractError, EmptyDataError, ValidationError
+from uglm.graphdata import iterate_epochs, load_dataset, save_dataset
 from uglm.numcore import OptimizerState
 from uglm.persist import export_metrics, param_fingerprint
 from uglm.synthgen import DomainSpec, generate_domain
@@ -52,14 +59,6 @@ def synth_domain(name="dom", task="node", classes=3, n=24, seed=0, label_noise=0
         )
     )
     return ds
-
-
-def encode_items(enc, head, items):
-    """The distinct (dataset, instance index) items encoded for ``EncodedRows.take``."""
-    parts: dict = {}
-    for ds, index in items:
-        parts.setdefault(ds, set()).add(index)
-    return encode_rows(enc, head, [(ds, sorted(indices)) for ds, indices in parts.items()])
 
 
 def fresh_state(proj, config):
@@ -97,7 +96,7 @@ def test_frozen_head_deterministic_from_seed_domain_k():
 def test_single_candidate_loss_zero():
     ds, enc, proj, _ = small_setup()
     head = FrozenHead.build(9, {ds.domain: 1}, proj.num_tokens, proj.token_dim)
-    inst = ds.instances[0]
+    inst = instance_of(ds, 0)
     inst.label = 0
     loss, _ = instance_loss(inst, enc, proj, head)
     assert loss == 0.0
@@ -106,13 +105,13 @@ def test_single_candidate_loss_zero():
 def test_zero_mixing_gives_log_k():
     ds, enc, proj, head = small_setup(classes=4)
     head.mixing = np.zeros_like(head.mixing)
-    loss, _ = instance_loss(ds.instances[0], enc, proj, head)
+    loss, _ = instance_loss(instance_of(ds, 0), enc, proj, head)
     assert loss == pytest.approx(math.log(4), abs=1e-14)
 
 
 def test_missing_label_contract_error():
     ds, enc, proj, head = small_setup()
-    inst = ds.instances[0]
+    inst = instance_of(ds, 0)
     inst.label = None
     with pytest.raises(ContractError, match="domain 'dom': instance has no label"):
         instance_loss(inst, enc, proj, head)
@@ -122,7 +121,7 @@ def test_projector_gradient_matches_finite_differences():
     worst = 0.0
     for seed in range(4):
         ds, enc, proj, head = small_setup(seed=seed)
-        inst = ds.instances[seed]
+        inst = instance_of(ds, seed)
         _, rows = instance_loss(inst, enc, proj, head)
         grads, _ = domain_mean_gradient(rows, score_rows(rows, proj)[0])
         analytic = projector_gradient(proj, rows, grads, np.ones(1))
@@ -144,12 +143,10 @@ def test_domain_batch_losses_are_within_domain_means():
     enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(5))
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(6))
     head = FrozenHead.build(7, {"a": 3, "b": 3}, 2, 4)
-    items = [(ds_a, 0), (ds_a, 1), (ds_b, 2)]
-    encoded = encode_items(enc, head, items)
-    assert encoded.domains == ("a", "b")
-    rows = encoded.take(items)
+    rows = encode_rows(enc, head, [(ds_a, [0, 1]), (ds_b, [2])])
+    assert rows.domains == ("a", "b")
     losses = domain_losses(rows, score_rows(rows, proj)[1])
-    alone = [score_rows(encoded.take([item]), proj)[1][0] for item in items]
+    alone = [score_rows(rows.take([r]), proj)[1][0] for r in range(3)]
     assert losses[0] == pytest.approx((alone[0] + alone[1]) / 2, abs=1e-15)
     assert losses[1] == pytest.approx(alone[2], abs=1e-15)
 
@@ -161,7 +158,7 @@ def test_stacked_projector_scores_equal_one_call_per_parameter_vector():
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(9))
     head = FrozenHead.build(10, {ds.domain: ds.num_classes for ds in datasets}, 2, 4)
     encoded = encode_rows(enc, head, [(ds, list(range(5))) for ds in datasets])
-    rows = encoded.take([(datasets[0], 1), (datasets[2], 0), (datasets[0], 3), (datasets[2], 4)])
+    rows = encoded.take([1, 10, 3, 14])  # d0's instances 1 and 3, d2's 0 and 4
     stack = proj.params.flat + 0.1 * np.random.default_rng(11).normal(size=(7, proj.params.flat.size))
     probs, loss = score_rows(rows, proj.with_params(proj.params.with_flat(stack)))
     means = domain_losses(rows, loss)
@@ -177,15 +174,14 @@ def test_stacked_projector_scores_equal_one_call_per_parameter_vector():
 def test_gradient_norm_zero_when_mixing_zero():
     ds, enc, proj, head = small_setup()
     head.mixing = np.zeros_like(head.mixing)
-    _, rows = instance_loss(ds.instances[0], enc, proj, head)
+    _, rows = instance_loss(instance_of(ds, 0), enc, proj, head)
     assert domain_mean_gradient(rows, score_rows(rows, proj)[0])[1][0] == 0.0
 
 
 def test_gradient_norm_invariant_under_duplication():
     ds, enc, proj, head = small_setup()
-    items = [(ds, i) for i in range(3)]
-    rows = encode_items(enc, head, items)
-    once, twice = rows.take(items), rows.take(items + items)
+    rows = encode_rows(enc, head, [(ds, [0, 1, 2])])
+    once, twice = rows.take([0, 1, 2]), rows.take([0, 1, 2, 0, 1, 2])
     g_once = domain_mean_gradient(once, score_rows(once, proj)[0])[1][0]
     g_twice = domain_mean_gradient(twice, score_rows(twice, proj)[0])[1][0]
     assert g_twice == pytest.approx(g_once, rel=1e-12)
@@ -300,8 +296,6 @@ def twin_domain_setup(seed=0, m=2, d_l=4):
     parameters, so every symmetric quantity must come out identical."""
     ds_a = synth_domain(name="twin_a", seed=seed)
     ds_b = synth_domain(name="twin_b", seed=seed)
-    for inst in ds_b.instances:
-        inst.domain = "twin_b"
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(seed + 10))
     proj = Projector.initialize(6, m, d_l, np.random.default_rng(seed + 11))
     base = FrozenHead.build(seed + 12, {"twin_a": 3}, m, d_l)
@@ -315,17 +309,14 @@ def twin_domain_setup(seed=0, m=2, d_l=4):
             "twin_b": base.label_embeddings["twin_a"],
         },
     )
-    batch = Batch(
-        items=[(ds_a, i) for i in range(6)] + [(ds_b, i) for i in range(6)],
-    )
-    return ds_a, ds_b, enc, proj, head, batch
+    encoded = encode_rows(enc, head, [(ds_a, list(range(6))), (ds_b, list(range(6)))])
+    return proj, encoded, np.arange(12)  # the batch: every encoded row
 
 
 def test_identical_twin_domains_get_half_weight_every_step():
-    _, _, enc, proj, head, batch = twin_domain_setup()
+    proj, encoded, batch = twin_domain_setup()
     config = AlignConfig(total_steps=5, batch_size=12, seed=0)
     state = fresh_state(proj, config)
-    encoded = encode_items(enc, head, batch.items)
     for _ in range(5):
         state = align_step(batch, state, config, encoded)
     for row in state.metrics:
@@ -333,12 +324,11 @@ def test_identical_twin_domains_get_half_weight_every_step():
 
 
 def test_equal_difficulty_update_matches_uniform_weighting_bitwise():
-    _, _, enc, proj, head, batch = twin_domain_setup()
+    proj, encoded, batch = twin_domain_setup()
 
     def run(weighting):
         config = AlignConfig(total_steps=4, batch_size=12, seed=0, weighting=weighting)
         state = fresh_state(Projector(proj.params, proj.num_tokens, proj.token_dim), config)
-        encoded = encode_items(enc, head, batch.items)
         for _ in range(4):
             state = align_step(batch, state, config, encoded)
         return param_fingerprint(state.projector.params)
@@ -352,11 +342,9 @@ def test_huge_temperature_behaves_as_uniform():
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(30))
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(31))
     head = FrozenHead.build(32, {"a": 3, "b": 3}, 2, 4)
-    batch = Batch(
-        items=[(ds_a, i) for i in range(5)] + [(ds_b, i) for i in range(5)],
-    )
+    encoded = encode_rows(enc, head, [(ds_a, list(range(5))), (ds_b, list(range(5)))])
     config = AlignConfig(total_steps=1, batch_size=10, seed=0, curriculum_temperature=1e9)
-    state = align_step(batch, fresh_state(proj, config), config, encode_items(enc, head, batch.items))
+    state = align_step(np.arange(10), fresh_state(proj, config), config, encoded)
     losses = {row.domain: row.loss for row in state.metrics}
     weighted = sum(row.weight * row.loss for row in state.metrics)
     assert abs(weighted - np.mean(list(losses.values()))) <= 1e-6
@@ -380,8 +368,7 @@ def test_weighted_objective_gradient_matches_finite_differences():
     enc = MultiScaleEncoder.initialize(4, 5, 1, np.random.default_rng(50))
     proj = Projector.initialize(5, 2, 4, np.random.default_rng(51))
     head = FrozenHead.build(52, {"a": 3, "b": 3}, 2, 4)
-    items = [(ds_a, 0), (ds_a, 3), (ds_b, 1)]
-    rows = encode_items(enc, head, items).take(items)
+    rows = encode_rows(enc, head, [(ds_a, [0, 3]), (ds_b, [1])])
     fixed_weights = np.array([0.7, 0.3])  # domains "a", "b"
 
     def objective(ps):
@@ -508,16 +495,17 @@ def test_instance_checks_run_on_memoized_items(monkeypatch):
     monkeypatch.setattr("uglm.align.align_step", lambda *args: steps.append(args))
     config = AlignConfig(total_steps=1, batch_size=1, seed=0, num_tokens=2, token_dim=4)
     last = ds.splits.train[-1]
-    ds.instances[last].label = 3
-    with pytest.raises(ContractError, match=f"domain 'dom' instance {last}: label 3 out of range for 3"):
-        align_loop(config, [ds], enc)
-    ds.instances[last].label = None
+    with pytest.raises(ValidationError, match=rf"domain 'dom' instance {last}: label 3 not in \[0,3\)"):
+        with_labels(ds, {last: 3})  # outside the dataset's classes: refused at construction
+    two = FrozenHead.build(0, {"dom": 2}, 2, 4)  # a head with fewer candidates than classes
+    only_last = with_labels(ds, {**{i: 0 for i in ds.splits.train}, last: 2})
+    with pytest.raises(ContractError, match=f"domain 'dom' instance {last}: label 2 out of range for 2"):
+        align_loop(config, [only_last], enc, two)
     with pytest.raises(ContractError, match=f"domain 'dom' instance {last}: instance has no label"):
-        align_loop(config, [ds], enc)
+        align_loop(config, [with_labels(ds, {last: None})], enc)
     assert steps == []
-    ds.instances[ds.splits.val[0]].label = None  # held-out items are not Stage II's to check
-    ds.instances[last].label = 0
-    align_loop(config, [ds], enc)
+    # held-out items are not Stage II's to check
+    align_loop(config, [with_labels(ds, {ds.splits.val[0]: None})], enc)
     assert len(steps) == 1
 
 
@@ -533,7 +521,7 @@ def test_no_train_instances_is_empty_data_error():
 def test_unlabelled_train_instance_names_file_and_line(tmp_path):
     ds = synth_domain()
     index = ds.splits.train[3]
-    ds.instances[index].label = None
+    ds = with_labels(ds, {index: None})
     save_dataset(ds, tmp_path / "dom.jsonl", tmp_path / "dom.emb")
     loaded = load_dataset(tmp_path / "dom.jsonl", tmp_path / "dom.emb")
     enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(0))
@@ -556,7 +544,6 @@ def relative_error(a, b):
 @pytest.mark.parametrize("weighting", ["curriculum", "uniform"])
 def test_vectorized_step_matches_per_instance_step(weighting):
     datasets = mixed_task_domains(("node", "edge", "graph"))
-    node, edge, graph = datasets
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(44))
     config = AlignConfig(
         total_steps=14, batch_size=8, seed=45, token_dim=8, weighting=weighting,
@@ -564,21 +551,19 @@ def test_vectorized_step_matches_per_instance_step(weighting):
     )
     head = head_for(config, datasets)
     batches = list(iterate_epochs(datasets, 8, 3, np.random.default_rng(46)))  # 3 x 4 batches
-    t = [ds.splits.train for ds in datasets]
+    # pool rows 0-9 are node's train instances, 10-19 edge's, 20-29 graph's
     batches += [
-        # node and graph have one row each
-        Batch([(edge, t[1][0]), (node, t[0][2]), (edge, t[1][3]), (graph, t[2][1])]),
-        # duplicated items, in and across domains
-        Batch([(node, t[0][4]), (graph, t[2][0]), (node, t[0][4]), (node, t[0][4]),
-               (graph, t[2][0]), (edge, t[1][5])]),
+        np.array([10, 2, 13, 21]),  # node and graph have one row each
+        np.array([4, 20, 4, 4, 20, 15]),  # duplicated items, in and across domains
     ]
+    pool = train_pool(datasets)
     proj = Projector.initialize(enc.hidden_dim, config.num_tokens, config.token_dim,
                                 np.random.default_rng(47))
     encoded = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets])
     new, ref = fresh_state(proj, config), fresh_state(proj, config)
     for batch in batches:
         new = align_step(batch, new, config, encoded)
-        ref = reference_align_step(batch, ref, config, enc, head)
+        ref = reference_align_step([pool[r] for r in batch], ref, config, enc, head)
     assert [(r.step, r.domain) for r in new.metrics] == [(r.step, r.domain) for r in ref.metrics]
     assert {r.step for r in new.metrics} == set(range(1, 15))
     for a, b in zip(new.metrics, ref.metrics):

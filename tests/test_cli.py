@@ -167,16 +167,40 @@ def test_domain_without_instances_exits_1(config_path, suite_dir, tmp_path, caps
     assert f"{graph_path}:1:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "align", "retrieval", "classification"])
+def test_two_files_of_one_domain_exit_1(pipeline, config_path, suite_dir, tmp_path, capsys, command):
+    data = tmp_path / "data"
+    shutil.copytree(suite_dir, data)
+    for suffix in (".jsonl", ".emb"):  # a copy that sorts after its original
+        shutil.copy(data / f"easy{suffix}", data / f"zz_copy{suffix}")
+    out = tmp_path / "out.ckpt"
+    argv = {
+        "pretrain": ["pretrain", "--config", str(config_path), "--out", str(out)],
+        "align": ["align", "--config", str(config_path), "--encoder", str(pipeline["encoder"]),
+                  "--out", str(out), "--metrics", str(tmp_path / "m.csv")],
+        "retrieval": ["eval", "--mode", "retrieval", "--encoder", str(pipeline["encoder"])],
+        "classification": ["eval", "--mode", "classification", "--encoder", str(pipeline["encoder"]),
+                           "--projector", str(pipeline["projector"])],
+    }[command]
+    capsys.readouterr()
+    assert main([*argv, "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {data / 'easy.jsonl'} and {data / 'zz_copy.jsonl'} both hold domain 'easy'\n"
+    )
+    assert "results" not in captured.out and not out.exists()
+
+
 def test_unlabelled_train_instance_stops_align_before_writing(
     pipeline, config_path, suite_dir, tmp_path, capsys
 ):
     data = tmp_path / "data"
     shutil.copytree(suite_dir, data)
     graph_path = data / "hard.jsonl"
-    ds = load_dataset(graph_path, data / "hard.emb")
-    index = ds.splits.train[-1]  # the last train instance: no step need sample it
-    ds.instances[index].label = None
-    save_dataset(ds, graph_path, data / "hard.emb")
+    index = load_dataset(graph_path, data / "hard.emb").splits.train[-1]  # no step need sample it
+    lines = graph_path.read_text().splitlines()
+    lines[index + 1] = json.dumps({**json.loads(lines[index + 1]), "label": None})
+    graph_path.write_text("\n".join(lines) + "\n")
     out, metrics = tmp_path / "p.ckpt", tmp_path / "m.csv"
     rc = main([
         "align", "--config", str(config_path), "--data", str(data),

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    datasets_equal,
     finite_difference_gradient,
+    instance_of,
     max_relative_error,
     reference_encoder_backward,
     reference_task_representation,
@@ -32,6 +34,8 @@ from uglm.graphdata import (
     save_dataset,
 )
 from uglm.numcore import ParamSet
+from uglm.persist import encode_checkpoint
+from uglm.pretrain import PretrainConfig, encoder_to_checkpoint, pretrain_loop
 from uglm.synthgen import DomainSpec, generate_domain
 
 
@@ -450,24 +454,34 @@ def saved_and_loaded(tmp_path, tasks):
 
 
 @pytest.mark.parametrize("chunk", [8, SEGMENT_CHUNK])
-def test_packed_batch_equals_the_lazy_instances_batch_bit_for_bit(monkeypatch, tmp_path, chunk):
+def test_packed_batch_equals_the_instances_batch_bit_for_bit(monkeypatch, tmp_path, chunk):
     monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
     pairs = saved_and_loaded(tmp_path, ("node", "edge", "graph", "node"))
     loaded = [ds for _, ds in pairs]
     assert [ds.feature_dim for ds in loaded] == [3] * 4
-    assert all("instances" not in vars(ds) for ds in loaded)  # feature_dim built none
     rng = np.random.default_rng(61)
-    packed = merge_packed([ds.packed() for ds in loaded])
+    packed = merge_packed([ds.arrays for ds in loaded])
     kinds = np.repeat([ds.task for ds in loaded], 12)
     rows = rng.permutation(48)  # the domains mixed, as in a Stage I batch
     enc = MultiScaleEncoder.initialize(3, 5, 3, rng)
     x, cache = encode_packed(packed, rows, kinds[rows], enc)
-    x_ref, ref = encode_batch([loaded[r // 12].instances[r % 12] for r in rows], enc)
+    x_ref, ref = encode_batch([instance_of(loaded[r // 12], r % 12) for r in rows], enc)
     assert np.array_equal(x, x_ref)
     upstream = rng.normal(size=x.shape)
     assert np.array_equal(encoder_backward(cache, upstream).flat, encoder_backward(ref, upstream).flat)
-    for made, ds in pairs:  # the lazy instances: file edge order, read-only views of the file's rows
-        for g, original in zip(ds.instances, made.instances):
-            assert g.edges == original.edges and g.target == original.target
-            assert not g.node_features.flags.writeable
-            assert np.shares_memory(g.node_features, ds.file_arrays["node_features"])
+
+
+def test_built_and_loaded_datasets_are_equal_and_train_to_the_same_checkpoint(tmp_path):
+    # generate_domain's in-memory dataset against its save -> load round
+    # trip, parsed from the JSONL and then read from the sidecar
+    pairs = saved_and_loaded(tmp_path, ("node", "edge", "graph"))
+    made = [m for m, _ in pairs]
+    from_sidecar = [load_dataset(ds.graph_path, tmp_path / f"{ds.domain}.emb") for _, ds in pairs]
+    for m, parsed, read in zip(made, [ds for _, ds in pairs], from_sidecar):
+        assert datasets_equal(m, parsed) and datasets_equal(m, read)  # dtypes too
+    config = PretrainConfig(epochs=3, batch_size=7, learning_rate=0.01, temperature=0.5, seed=5)
+    blobs = []
+    for datasets in (made, from_sidecar):
+        result = pretrain_loop(config, datasets, hidden_dim=4, num_layers=2)
+        blobs.append(encode_checkpoint(encoder_to_checkpoint(result.encoder, result.adapter, {})))
+    assert blobs[0] == blobs[1]

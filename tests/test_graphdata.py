@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import datasets_equal
+from oracles import datasets_equal, train_pool, with_labels
 
 from uglm import graphdata
-from uglm.errors import EmptyDataError, ParseError, ValidationError
+from uglm.errors import EmptyDataError, ParseError, UglmError, ValidationError
 from uglm.graphdata import (
     DomainDataset,
     EdgeTarget,
@@ -58,13 +58,8 @@ def make_dataset(domain="d0", task="node", n=4, classes=2, d_t=3, train=None, se
     train = list(range(n)) if train is None else train
     rest = [i for i in range(n) if i not in train]
     half = len(rest) // 2
-    return DomainDataset(
-        domain=domain,
-        task=task,
-        num_classes=classes,
-        instances=instances,
-        text_embeddings=emb,
-        splits=Splits(train=train, val=rest[:half], test=rest[half:]),
+    return DomainDataset.from_instances(
+        domain, task, classes, instances, emb, Splits(train=train, val=rest[:half], test=rest[half:])
     )
 
 
@@ -76,7 +71,7 @@ def test_two_instance_file_roundtrip(tmp_path):
     gp, ep = tmp_path / "d0.jsonl", tmp_path / "d0.emb"
     save_dataset(ds, gp, ep)
     loaded = load_dataset(gp, ep)
-    assert len(loaded.instances) == 2
+    assert len(loaded.arrays["label"]) == 2
     assert datasets_equal(ds, loaded)
 
 
@@ -94,13 +89,12 @@ def test_reserialize_reload_is_equal(tmp_path):
 
 
 def test_roundtrip_with_edge_features_and_null_label(tmp_path):
-    ds = make_dataset(n=3)
-    ds.instances[1].label = None
-    rows = [[0.5, -1.0]] * len(ds.instances[0].edges)
+    ds = with_labels(make_dataset(n=3), {1: None})
+    rows = [[0.5, -1.0]] * int(ds.arrays["edge_offsets"][1])
     gp, ep = _saved_with_line_edit(tmp_path, 2, ds, edge_features=rows)
     loaded = load_dataset(gp, ep)
     assert datasets_equal(ds, loaded)  # edge features are accepted, then dropped
-    assert loaded.instances[1].label is None
+    assert loaded.arrays["label"][1] == -1  # null
     gp, ep = _saved_with_line_edit(tmp_path, 2, ds, edge_features=rows[:-1])
     with pytest.raises(ValidationError) as exc:
         load_dataset(gp, ep)
@@ -200,10 +194,7 @@ def test_malformed_record_reports_line_number(tmp_path):
 
 
 def test_out_of_range_edge_is_validation_error(tmp_path):
-    ds = make_dataset(n=2)
-    ds.instances[1].edges.append((0, 5))
-    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
-    save_dataset(ds, gp, ep)
+    gp, ep = _saved_with_line_edit(tmp_path, 3, edges=[[0, 1], [1, 0], [1, 2], [2, 1], [0, 5]])
     with pytest.raises(ValidationError) as exc:
         load_dataset(gp, ep)
     msg = str(exc.value)
@@ -211,10 +202,7 @@ def test_out_of_range_edge_is_validation_error(tmp_path):
 
 
 def test_text_index_beyond_table_is_validation_error(tmp_path):
-    ds = make_dataset(n=2)
-    ds.instances[0].text_index = 99
-    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
-    save_dataset(ds, gp, ep)
+    gp, ep = _saved_with_line_edit(tmp_path, 2, text_index=99)
     with pytest.raises(ValidationError) as exc:
         load_dataset(gp, ep)
     assert "text_index" in str(exc.value)
@@ -277,6 +265,55 @@ def test_validate_graph_collects_all_violations(tmp_path):
     )
 
 
+# ------------------------------------------------- in-memory construction
+
+
+def _no_nodes(g):
+    g.num_nodes, g.edges, g.node_features = 0, [], np.zeros((0, 2))
+
+
+@pytest.mark.parametrize(
+    "spoil, problem",
+    [
+        # packed, (1, 3) would end on instance 2's node 0
+        (lambda g: g.edges.append((1, 3)), "edge 4 = (1,3) has endpoints outside [0,3)"),
+        (lambda g: setattr(g, "target", NodeTarget(node=3)), "target node 3 not in [0,3)"),
+        (lambda g: setattr(g, "label", 7), "label 7 not in [0,2)"),
+        (lambda g: setattr(g, "label", -1), "label -1 not in [0,2)"),
+        (lambda g: setattr(g, "label", -2), "label -2 not in [0,2)"),
+        (lambda g: setattr(g, "text_index", 3), "text_index 3 not in [0,3)"),
+        (_no_nodes, "instance has no nodes"),
+        (lambda g: setattr(g, "target", GraphTarget()),
+         "field target: kind 'graph' does not match dataset task 'node'"),
+    ],
+)
+def test_bad_instance_is_an_error_at_construction(spoil, problem):
+    instances = [make_instance(domain="d", label=0, text_index=i, seed=i) for i in range(3)]
+    spoil(instances[1])
+    with pytest.raises(UglmError) as exc:
+        DomainDataset.from_instances("d", "node", 2, instances, np.ones((3, 2)), Splits(train=[0, 1, 2]))
+    assert str(exc.value) == f"domain 'd' instance 1: {problem}"
+
+
+def test_domain_level_errors_name_the_domain():
+    with pytest.raises(EmptyDataError, match="^domain 'd': no instances$"):
+        DomainDataset.from_instances("d", "node", 2, [], np.ones((1, 2)), Splits())
+    with pytest.raises(ValidationError, match=r"^domain 'd': split val: index 4 not in \[0,4\)$"):
+        DomainDataset.from_instances("d", "node", 2, [make_instance("d")] * 4, np.ones((1, 2)),
+                                     Splits(val=[4]))
+    with pytest.raises(ValidationError, match=r"^domain 'd': class count"):
+        DomainDataset.from_instances("d", "node", 0, [make_instance("d")], np.ones((1, 2)), Splits())
+
+
+def test_arrays_are_read_only_after_validation():
+    ds = make_dataset(n=3)
+    for name in graphdata.PACK_ARRAYS:
+        with pytest.raises(ValueError):
+            ds.arrays[name][...] = 0
+    with pytest.raises(ValidationError, match="^domain 'd0' instance 0: label 5 not in"):
+        with_labels(ds, {0: 5})  # an edit builds a new dataset, which checks it
+
+
 # ------------------------------------------------------------ pack sidecar
 
 
@@ -313,7 +350,7 @@ def test_pack_path_equals_jsonl_path_on_suite_domains(tmp_path, parse_count):
     for gp, ep in written.values():
         cold, warm = _cold_and_warm(tmp_path / os.path.basename(gp), ep, parse_count)
         assert datasets_equal(cold, warm)
-        assert not warm.instances[0].node_features.flags.writeable
+        assert not any(a.flags.writeable for a in warm.arrays.values())
         assert (warm.graph_path, warm.sha256) == (cold.graph_path, cold.sha256)
 
 
@@ -418,29 +455,42 @@ def test_shrunken_embedding_table_is_caught_on_the_pack_path(tmp_path, parse_cou
 # ------------------------------------------------------------------ batching
 
 
+def pool_domains(datasets, batch):
+    """The domain of each pool row of ``batch``."""
+    pool = train_pool(datasets)
+    return [pool[r][0].domain for r in batch]
+
+
 def test_exhaustive_batch_is_the_union():
     a = make_dataset(domain="a", n=10, seed=0)
     b = make_dataset(domain="b", n=10, seed=1)
     batch = next(iterate_epochs([a, b], 20, 1, np.random.default_rng(5)))
-    assert len(batch) == 20
-    assert {ds.domain for ds, _ in batch.items} == {"a", "b"}
-    seen = Counter((ds.domain, idx) for ds, idx in batch.items)
-    assert all(count == 1 for count in seen.values())
-    assert len(seen) == 20
+    assert len(batch) == 20 and batch.dtype.kind == "i"
+    assert set(pool_domains([a, b], batch)) == {"a", "b"}
+    assert sorted(batch.tolist()) == list(range(20))
 
 
 def test_batch_size_one_single_domain():
     a = make_dataset(domain="a", n=4)
     b = make_dataset(domain="b", n=4)
     batch = next(iterate_epochs([a, b], 1, 1, np.random.default_rng(0)))
-    assert len({ds.domain for ds, _ in batch.items}) == 1
+    assert len(set(pool_domains([a, b], batch))) == 1
+
+
+def test_batches_slice_one_permutation_of_the_pool_per_epoch():
+    a = make_dataset(domain="a", n=6, train=[1, 4, 5])
+    b = make_dataset(domain="b", n=5, train=[0, 3])
+    batches = list(iterate_epochs([a, b], 2, 2, np.random.default_rng(7)))
+    assert [len(batch) for batch in batches] == [2, 2, 1] * 2
+    rng = np.random.default_rng(7)  # one draw per epoch, of the pool's size
+    assert np.array_equal(np.concatenate(batches), np.concatenate([rng.permutation(5), rng.permutation(5)]))
 
 
 def test_same_seed_same_batch():
     a = make_dataset(domain="a", n=8)
     b1 = next(iterate_epochs([a], 3, 1, np.random.default_rng(42)))
     b2 = next(iterate_epochs([a], 3, 1, np.random.default_rng(42)))
-    assert [(ds.domain, i) for ds, i in b1.items] == [(ds.domain, i) for ds, i in b2.items]
+    assert np.array_equal(b1, b2)
 
 
 def test_epoch_batch_sizes_4_4_2():
@@ -457,10 +507,7 @@ def test_zero_epochs_empty_stream():
 def test_epoch_reshuffle_differs_but_run_repeats():
     a = make_dataset(domain="a", n=32)
     def run():
-        return [
-            [(ds.domain, i) for ds, i in b.items]
-            for b in iterate_epochs([a], 8, 2, np.random.default_rng(9))
-        ]
+        return [b.tolist() for b in iterate_epochs([a], 8, 2, np.random.default_rng(9))]
     first, second = run(), run()
     assert first == second  # identical seed -> identical stream
     epoch1, epoch2 = first[:4], first[4:]
@@ -484,8 +531,8 @@ def test_each_train_instance_once_per_epoch(na, nb, batch_size, seed):
     a = make_dataset(domain="a", n=na, seed=0)
     b = make_dataset(domain="b", n=nb, seed=1)
     batches = list(iterate_epochs([a, b], batch_size, 1, np.random.default_rng(seed)))
-    seen = Counter((ds.domain, idx) for batch in batches for ds, idx in batch.items)
-    assert sum(seen.values()) == na + nb
+    seen = Counter(r for batch in batches for r in batch.tolist())
+    assert sorted(seen) == list(range(na + nb))
     assert all(count == 1 for count in seen.values())
 
 
@@ -495,8 +542,8 @@ def test_long_run_domain_proportions_match_train_splits():
     counts: Counter = Counter()
     total = 0
     for batch in iterate_epochs([a, b], 4, 50, np.random.default_rng(3)):
-        for ds, _ in batch.items:
-            counts[ds.domain] += 1
+        for domain in pool_domains([a, b], batch):
+            counts[domain] += 1
             total += 1
     assert abs(counts["a"] / total - 3 / 10) <= 0.02
     assert abs(counts["b"] / total - 7 / 10) <= 0.02

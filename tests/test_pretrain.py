@@ -56,14 +56,7 @@ def tiny_dataset(domain, n, value_fn, text_fn, d_t=2):
             )
         )
     emb = np.stack([np.asarray(text_fn(i), dtype=float) for i in range(n)])
-    return DomainDataset(
-        domain=domain,
-        task="node",
-        num_classes=2,
-        instances=instances,
-        text_embeddings=emb,
-        splits=Splits(train=list(range(n))),
-    )
+    return DomainDataset.from_instances(domain, "node", 2, instances, emb, Splits(train=list(range(n))))
 
 
 def synth_pair(seed=0, n=40, d_t=8):
@@ -111,10 +104,9 @@ def test_center_sampling_capped_at_1000():
 
 
 def test_empty_domain_is_empty_data_error():
-    ds = tiny_dataset("a", 1, lambda i: [1.0], lambda i: [1.0, 0.0])
-    ds.instances = []
-    with pytest.raises(EmptyDataError):
-        compute_domain_centers([ds], rng=np.random.default_rng(0))
+    # refused when built, so compute_domain_centers never sees one
+    with pytest.raises(EmptyDataError, match="^domain 'a': no instances$"):
+        DomainDataset.from_instances("a", "node", 2, [], np.ones((1, 2)), Splits())
 
 
 # ---------------------------------------------------------- distance/weights
@@ -449,8 +441,7 @@ def test_adapter_rejects_text_rows_of_another_width():
 
 def test_pretrain_bits_do_not_depend_on_the_segment_sum_path(monkeypatch, tmp_path):
     # 8 entries sends every neighbour, backward and pooling sum down the
-    # jagged-diagonal path, 1 << 30 down the one-bincount path. The first
-    # run reads the files' packed arrays, the later two the built instances.
+    # jagged-diagonal path, 1 << 30 down the one-bincount path.
     datasets = []
     for k, task in enumerate(("node", "edge", "graph")):
         made, _ = generate_domain(DomainSpec(
@@ -467,8 +458,6 @@ def test_pretrain_bits_do_not_depend_on_the_segment_sum_path(monkeypatch, tmp_pa
         monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
         result = pretrain_loop(config, datasets, hidden_dim=6, num_layers=3)
         runs.append((result.encoder.params.flat, result.adapter.params().flat, result.epoch_losses))
-        for ds in datasets:  # builds the instances, which later runs pack
-            assert len(ds.instances) == 16
     (enc, adapter, losses), *others = runs
     for other_enc, other_adapter, other_losses in others:
         assert np.array_equal(enc, other_enc) and np.array_equal(adapter, other_adapter)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import datasets_equal, planted_class, text_cosine_margin
+from oracles import datasets_equal, instance_of, planted_class, text_cosine_margin
 
-from uglm.encoder import MultiScaleEncoder, task_representation
+from uglm.encoder import MultiScaleEncoder, encode_packed
 from uglm.errors import InvalidParameterError
 from uglm.graphdata import load_dataset
 from uglm.pretrain import DomainWeights, TextAdapter, dr_clip_loss
@@ -53,22 +53,26 @@ def is_connected(num_nodes, edges):
     return len(seen) == num_nodes
 
 
+def instances(ds):
+    """Every instance of ``ds`` as a GraphInstance."""
+    return [instance_of(ds, i) for i in range(len(ds.arrays["label"]))]
+
+
 # ------------------------------------------------------------- generation
 
 
 def test_zero_noise_degeneracy():
     ds, emb = generate_domain(spec(noise_x=0.0, noise_t=0.0))
-    for i, inst in enumerate(ds.instances):
+    graphs = instances(ds)
+    for i, inst in enumerate(graphs):
         cls = planted_class(ds, i)
         feats = np.asarray(inst.node_features)
         # every node row equals the class prototype exactly
         assert np.array_equal(feats, np.tile(feats[0], (inst.num_nodes, 1)))
         assert inst.label == cls
-        same_class = [j for j in range(len(ds.instances)) if planted_class(ds, j) == cls]
+        same_class = [j for j in range(len(graphs)) if planted_class(ds, j) == cls]
         for j in same_class:
-            assert np.array_equal(
-                np.asarray(ds.instances[j].node_features)[0], feats[0]
-            )
+            assert np.array_equal(graphs[j].node_features[0], feats[0])
             assert np.array_equal(emb[j], emb[i])
 
 
@@ -81,15 +85,15 @@ def test_same_spec_bit_identical():
 
 def test_round_robin_class_balance():
     ds, _ = generate_domain(spec(n=100, classes=2, noise_label=0.0))
-    counts = Counter(inst.label for inst in ds.instances)
+    counts = Counter(ds.arrays["label"].tolist())
     assert counts[0] == 50 and counts[1] == 50
 
 
 def test_label_noise_flips_to_other_classes():
     ds, _ = generate_domain(spec(n=200, classes=4, noise_label=1.0, seed=5))
-    for i, inst in enumerate(ds.instances):
-        assert inst.label != planted_class(ds, i)
-        assert 0 <= inst.label < 4
+    for i, label in enumerate(ds.arrays["label"].tolist()):
+        assert label != planted_class(ds, i)
+        assert 0 <= label < 4
 
 
 @settings(max_examples=30, deadline=None)
@@ -114,7 +118,7 @@ def test_graphs_connected_and_bidirectional(task, nodes_max, seed):
         seed=seed,
     )
     ds, _ = generate_domain(s)
-    for inst in ds.instances:
+    for inst in instances(ds):
         edge_set = set(inst.edges)
         assert all((v, u) in edge_set for u, v in inst.edges)
         assert is_connected(inst.num_nodes, inst.edges)
@@ -150,7 +154,7 @@ def test_suite_files_load(tmp_path):
     for name, (gp, ep) in written.items():
         ds = load_dataset(gp, ep)
         assert ds.domain == name
-        assert len(ds.instances) == 200
+        assert len(ds.arrays["label"]) == 200
         tasks[name] = ds.task
     assert sorted(tasks.values()) == ["edge", "graph", "node", "node", "node"]
 
@@ -187,8 +191,8 @@ def test_hard_has_higher_untrained_contrastive_loss_than_easy():
     for name in ("easy", "hard"):
         ds, _ = generate_domain(suite_spec(name, DEFAULT_MASTER_SEED))
         idx = ds.splits.train[:100]
-        x = np.stack([task_representation(ds.instances[i], enc)[0] for i in idx])
-        t = np.stack([ds.text_embeddings[ds.instances[i].text_index] for i in idx])
+        x, _ = encode_packed(ds.arrays, idx, ds.task, enc)
+        t = ds.text_embeddings[ds.arrays["text_index"][idx]]
         ones = DomainWeights(
             [name], np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1))
         )
