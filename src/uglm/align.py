@@ -6,10 +6,10 @@ head (per-domain instruction vector, per-domain label embeddings, and a
 shared mixing map) turns the tokens into logits over candidate labels,
 and the per-instance loss is cross-entropy. Only the projector trains.
 
-Both the encoder and the head are frozen, so a run encodes each domain's
-train split once (``encode_rows``) beside the head folded into per-domain
-logit maps (``FrozenHead.table``). Training, validation and classification
-then score rows through one batched scorer (``score_rows``).
+Both the encoder and the head are frozen, so a run encodes the train pool
+once (``encode_rows``, one batch per domain) beside the head folded into
+per-domain logit maps (``FrozenHead.table``). Training, validation and
+classification then score rows through one batched scorer (``score_rows``).
 
 Per step, each active domain's mean loss yields a projector-gradient
 norm; a tracker smooths these (running mean during warmup, EMA after,
@@ -23,12 +23,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
 from .encoder import MultiScaleEncoder, encode_packed, task_representation, uniform_init
-from .errors import ContractError, EmptyDataError, InvalidParameterError
-from .graphdata import DomainDataset, GraphInstance, iterate_epochs
+from .errors import ContractError, InvalidParameterError
+from .graphdata import DomainDataset, GraphInstance, Pool
 from .numcore import OptimizerState, ParamSet, optimizer_step, softmax_with_temperature
 from .persist import Checkpoint
 
@@ -159,37 +160,36 @@ class EncodedRows:
         return EncodedRows(self.rows[rows], self.domain[rows], self.label[rows], *head)
 
 
-def _checked_label(head: FrozenHead, domain: str, label: int | None, place: str) -> int:
-    """A label the frozen head can score; errors start with ``place``."""
-    if domain not in head.instructions:
-        raise ContractError(f"frozen head has no domain {domain!r}")
-    k = head.label_embeddings[domain].shape[0]
-    if label is None:
-        raise ContractError(f"{place}: instance has no label")
-    if not 0 <= label < k:
-        raise ContractError(f"{place}: label {label} out of range for {k} candidates")
-    return label
+def _checked_labels(head: FrozenHead, names: list[str], domain: np.ndarray, label: np.ndarray, place):
+    """Check that each row's ``label`` (-1: none) is a candidate of the frozen
+    head for its domain ``names[domain[r]]``; the first bad row is named by
+    ``place(r)``."""
+    k = np.array([len(head.label_embeddings.get(name, ())) for name in names], dtype=np.intp)[domain]
+    bad = (label < 0) | (label >= k)
+    if bad.any():
+        r = int(np.argmax(bad))
+        if names[domain[r]] not in head.label_embeddings:
+            raise ContractError(f"frozen head has no domain {names[domain[r]]!r}")
+        if label[r] == -1:
+            raise ContractError(f"{place(r)}: instance has no label")
+        raise ContractError(f"{place(r)}: label {label[r]} out of range for {k[r]} candidates")
 
 
-def encode_rows(
-    encoder: MultiScaleEncoder, head: FrozenHead, parts: list[tuple[DomainDataset, list[int]]]
-) -> EncodedRows:
-    """The (dataset, instance indices) ``parts``, in order, all checked before
-    any is encoded, then encoded in one batch per dataset. A bad label is
-    named by ``DomainDataset.place``."""
-    labels = [
-        _checked_label(head, ds.domain, None if label == -1 else label, ds.place(i))
-        for ds, indices in parts
-        for i, label in zip(indices, ds.arrays["label"][indices].tolist())
-    ]
-    domains = tuple(sorted({ds.domain for ds, _ in parts}))
+def encode_rows(encoder: MultiScaleEncoder, head: FrozenHead, pool: Pool) -> EncodedRows:
+    """The rows of ``pool``, in order, all checked before any is encoded, then
+    encoded in one batch per dataset, straight from its arrays: one batch over
+    every dataset would hold all their forward intermediates at once. A bad
+    label is named by ``Pool.place``."""
+    names, parts = [ds.domain for ds in pool.datasets], pool.parts()
+    labels = np.concatenate([ds.arrays["label"][indices] for ds, indices in parts])
+    _checked_labels(head, names, pool.dataset, labels, pool.place)
+    domains = tuple(sorted(set(names)))
     x = np.concatenate([np.zeros((0, encoder.hidden_dim))] + [
-        encode_packed(ds.arrays, indices, ds.task, encoder)[0] for ds, indices in parts if indices
+        encode_packed(ds.arrays, indices, ds.task, encoder)[0] for ds, indices in parts if indices.size
     ])
+    rank = np.array([domains.index(name) for name in names], dtype=np.intp)
     return EncodedRows(
-        np.hstack([x, np.ones((len(x), 1))]),
-        np.array([domains.index(ds.domain) for ds, indices in parts for _ in indices], dtype=np.intp),
-        np.array(labels, dtype=np.intp), domains, *head.table(domains),
+        np.hstack([x, np.ones((len(x), 1))]), rank[pool.dataset], labels, domains, *head.table(domains)
     )
 
 
@@ -211,10 +211,11 @@ def instance_loss(
 ) -> tuple[float, EncodedRows]:
     """Cross-entropy of the frozen head over candidate labels, and the
     instance's encoded row: ``score_rows`` on a batch of one."""
-    label = _checked_label(head, inst.domain, inst.label, f"domain {inst.domain!r}")
+    label, place = np.array([-1 if inst.label is None else inst.label]), f"domain {inst.domain!r}"
+    _checked_labels(head, [inst.domain], np.zeros(1, np.intp), label, lambda r: place)
     x_star, _ = task_representation(inst, encoder)
     x, domains = np.append(x_star, 1.0)[None], (inst.domain,)
-    encoded = EncodedRows(x, np.zeros(1, np.intp), np.array([label]), domains, *head.table(domains))
+    encoded = EncodedRows(x, np.zeros(1, np.intp), label, domains, *head.table(domains))
     return float(score_rows(encoded, proj)[1][0]), encoded
 
 
@@ -370,17 +371,13 @@ class AlignConfig:
             raise InvalidParameterError(f"unknown weighting {self.weighting!r}")
 
 
-@dataclass
-class MetricsRow:
+class MetricsRow(NamedTuple):
     step: int
     domain: str
     loss: float
     grad_norm: float
     smoothed: float
     weight: float
-
-    def as_tuple(self):
-        return (self.step, self.domain, self.loss, self.grad_norm, self.smoothed, self.weight)
 
 
 @dataclass
@@ -398,8 +395,8 @@ def align_step(
     config: AlignConfig,
     encoded: EncodedRows,
 ) -> AlignState:
-    """One curriculum step over the encoded rows at ``batch``, pool rows from
-    ``iterate_epochs``: losses, difficulties, weights, update on theta."""
+    """One curriculum step over the encoded rows at ``batch``, train pool rows
+    from ``Pool.batches``: losses, difficulties, weights, update on theta."""
     rows = encoded.take(batch)
     probs, loss = score_rows(rows, state.projector)
     grads, norms = domain_mean_gradient(rows, probs)
@@ -456,16 +453,12 @@ def align_loop(
     )
     if config.total_steps == 0:
         return state, head
-    encoded = encode_rows(encoder, head, [(ds, ds.splits.train) for ds in datasets])  # the train pool
-    if not len(encoded.rows):
-        raise EmptyDataError("no training instances in any dataset")
-    per_epoch = (len(encoded.rows) + config.batch_size - 1) // config.batch_size
-    epochs = (config.total_steps + per_epoch - 1) // per_epoch
-    batches = islice(
-        iterate_epochs(datasets, config.batch_size, epochs, np.random.default_rng(seeds[1])),
-        config.total_steps,
-    )
-    for batch in batches:
+    pool = Pool.of(datasets)
+    encoded = encode_rows(encoder, head, pool)
+    # every epoch holds a batch, so total_steps epochs cover the steps; each
+    # epoch's permutation is drawn only when its first batch is
+    batches = pool.batches(config.batch_size, config.total_steps, np.random.default_rng(seeds[1]))
+    for batch in islice(batches, config.total_steps):
         state = align_step(batch, state, config, encoded)
     return state, head
 
@@ -527,12 +520,10 @@ def _split_rows(
     encoder: MultiScaleEncoder, head: FrozenHead, dataset: DomainDataset, split: str
 ) -> EncodedRows:
     """One split's instances, encoded in one batch."""
-    if split not in ("train", "val", "test"):
-        raise InvalidParameterError(f"unknown split {split!r}")
-    indices = getattr(dataset.splits, split)
-    if not indices:
+    pool = Pool.of([dataset], split)
+    if not len(pool):
         raise ContractError(f"split {split!r} of domain {dataset.domain!r} is empty")
-    return encode_rows(encoder, head, [(dataset, indices)])
+    return encode_rows(encoder, head, pool)
 
 
 def mean_split_loss(

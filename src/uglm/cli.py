@@ -33,6 +33,7 @@ from .persist import (
     param_fingerprint,
     parse_metrics,
     save_checkpoint,
+    write_csv,
 )
 from .pretrain import encoder_from_checkpoint, encoder_to_checkpoint, evaluate_retrieval, pretrain_loop
 from . import runtime  # noqa: F401  no command calls it, but importing cli loads every module
@@ -95,6 +96,12 @@ def _echo(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _echo_command(args, **resolved) -> None:
+    """The command line as one JSON line: every argument but ``--set``, the
+    ``resolved`` values in place of their raw ones."""
+    _echo({**{k: v for k, v in vars(args).items() if k != "set"}, **resolved})
+
+
 def _discover_datasets(data_dir: str) -> list[DomainDataset]:
     if not os.path.isdir(data_dir):
         raise FileNotFoundError(f"data directory does not exist: {data_dir}")
@@ -155,7 +162,7 @@ def _load_encoder(path, datasets: list[DomainDataset]):
 
 
 def _cmd_synth(args) -> int:
-    _echo({"command": "synth", "out": args.out, "seed": args.seed})
+    _echo_command(args)
     written = generate_benchmark_suite(args.out, args.seed)
     _echo({"written": {name: list(paths) for name, paths in sorted(written.items())}})
     return 0
@@ -163,15 +170,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     run_config = load_run_config(args.config, args.set)
-    _echo(
-        {
-            "command": "pretrain",
-            "config": run_config.as_dict(),
-            "data": args.data,
-            "out": args.out,
-            "metrics": args.metrics,
-        }
-    )
+    _echo_command(args, config=run_config.as_dict())
     datasets = _discover_datasets(args.data)
     result = pretrain_loop(
         run_config.pretrain,
@@ -207,16 +206,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_align(args) -> int:
     run_config = load_run_config(args.config, args.set)
-    _echo(
-        {
-            "command": "align",
-            "config": run_config.as_dict(),
-            "data": args.data,
-            "encoder": args.encoder,
-            "out": args.out,
-            "metrics": args.metrics,
-        }
-    )
+    _echo_command(args, config=run_config.as_dict())
     datasets = _discover_datasets(args.data)
     encoder, _, drift = _load_encoder(args.encoder, datasets)
     state, head = align_loop(run_config.align, datasets, encoder)
@@ -232,24 +222,13 @@ def _cmd_align(args) -> int:
         },
     )
     save_checkpoint(ckpt, args.out)
-    export_metrics([row.as_tuple() for row in state.metrics], args.metrics)
+    export_metrics(state.metrics, args.metrics)
     _echo({"steps": state.step, "metrics_rows": len(state.metrics), **drift})
     return 0
 
 
 def _cmd_eval(args) -> int:
-    _echo(
-        {
-            "command": "eval",
-            "encoder": args.encoder,
-            "projector": args.projector,
-            "data": args.data,
-            "mode": args.mode,
-            "pool": args.pool,
-            "seed": args.seed,
-            "split": args.split,
-        }
-    )
+    _echo_command(args)
     datasets = _discover_datasets(args.data)
     encoder, adapter, drift = _load_encoder(args.encoder, datasets)
     results: dict[str, dict] = {}  # one entry per scored domain
@@ -293,7 +272,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    _echo({"command": "gradcheck", "seed": args.seed, "trials": args.trials})
+    _echo_command(args)
     results = run_gradcheck(args.seed, args.trials)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -308,26 +287,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _echo({"command": "report", "metrics": args.metrics, "out": args.out})
+    _echo_command(args)
     rows = parse_metrics(args.metrics)
     os.makedirs(args.out, exist_ok=True)
     by_domain: dict[str, list] = {}
     for step, domain, loss, grad_norm, smoothed, weight in rows:
         by_domain.setdefault(domain, []).append((step, loss, grad_norm, smoothed, weight))
-    files = []
-    for domain in sorted(by_domain):
-        path = os.path.join(args.out, f"trajectory_{domain}.csv")
-        lines = ["step,loss,grad_norm,smoothed,weight"]
-        for step, loss, grad_norm, smoothed, weight in by_domain[domain]:
-            lines.append(
-                ",".join(
-                    [str(step)]
-                    + [format_float(v) for v in (loss, grad_norm, smoothed, weight)]
-                )
-            )
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        files.append(path)
+    files = [os.path.join(args.out, f"trajectory_{domain}.csv") for domain in sorted(by_domain)]
+    for domain, path in zip(sorted(by_domain), files):
+        write_csv(path, "step,loss,grad_norm,smoothed,weight", by_domain[domain], (str, *[format_float] * 4))
     _echo({"domains": sorted(by_domain), "files": files})
     return 0
 

@@ -1,11 +1,13 @@
 """Run configuration: built-in defaults, JSON file loading, flag overrides.
 
 Precedence is CLI override > config file > built-in default. Unknown keys
-anywhere in the file or in an override path are rejected. The built-in
-defaults are the field defaults of the config dataclasses and mirror the
-reference hyperparameters (3-layer, 768-wide encoder, pretrain lr 1e-4,
-align lr 0.004, 7 tokens, warmup ratio 0.01, momentum 0.7); desk-scale
-runs override the sizes in their config file.
+anywhere in the file or in an override path are rejected, and so is a value
+whose type is not its default's (an int field takes only an int, a float
+field an int or a float). The built-in defaults are the field defaults of
+the config dataclasses and mirror the reference hyperparameters (3-layer,
+768-wide encoder, pretrain lr 1e-4, align lr 0.004, 7 tokens, warmup ratio
+0.01, momentum 0.7); desk-scale runs override the sizes in their config
+file.
 """
 
 from __future__ import annotations
@@ -58,22 +60,22 @@ def apply_override(data: dict, spec: str) -> None:
     if "=" not in spec:
         raise ValidationError(f"override {spec!r} is not of the form key.path=value")
     path, raw = spec.split("=", 1)
-    keys = path.split(".")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw  # bare strings are allowed unquoted
-    node = data
-    for key in keys[:-1]:
-        if key not in node or not isinstance(node[key], dict):
-            raise ValidationError(f"unknown config section {key!r} in override {spec!r}")
-        node = node[key]
-    leaf = keys[-1]
-    if leaf not in node:
-        raise ValidationError(f"unknown config key {leaf!r} in override {spec!r}")
-    if isinstance(node[leaf], dict):
-        raise ValidationError(f"override {spec!r} targets a section, not a value")
-    node[leaf] = value
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    _merge_checked(data, value, "")
+
+
+def _check_types(data: dict) -> None:
+    """Each value has the type of its field's default (bool is not an int)."""
+    for section, defaults in RunConfig().as_dict().items():
+        for key, default in defaults.items():
+            value, want = data[section][key], type(default)
+            if type(value) is not want and not (want is float and type(value) is int):
+                raise ValidationError(f"config key {section}.{key} must be {want.__name__}, got {value!r}")
 
 
 def load_run_config(path=None, overrides: list[str] | None = None) -> RunConfig:
@@ -89,11 +91,9 @@ def load_run_config(path=None, overrides: list[str] | None = None) -> RunConfig:
         _merge_checked(data, file_data, "")
     for spec in overrides or []:
         apply_override(data, spec)
-    try:
-        return RunConfig(
-            encoder=EncoderSettings(**data["encoder"]),
-            pretrain=PretrainConfig(**data["pretrain"]),
-            align=AlignConfig(**data["align"]),
-        )
-    except TypeError as exc:
-        raise ValidationError(f"malformed config: {exc}") from exc
+    _check_types(data)
+    return RunConfig(
+        encoder=EncoderSettings(**data["encoder"]),
+        pretrain=PretrainConfig(**data["pretrain"]),
+        align=AlignConfig(**data["align"]),
+    )

@@ -33,7 +33,7 @@ from .align import (
 )
 from .encoder import GraphBatch, MultiScaleEncoder, encoder_backward, forward
 from .errors import GradientCheckError, InvalidParameterError
-from .graphdata import DomainDataset, GraphInstance, Splits, draw_target
+from .graphdata import DomainDataset, GraphInstance, Pool, Splits, draw_target
 from .numcore import ParamSet, stacked_finite_difference_gradient
 from .pretrain import (
     DomainCenters,
@@ -223,8 +223,7 @@ def check_weighted_objective_gradients(seed: int, trials: int) -> CheckResult:
 
         # the step's scorer and gradient over pool rows a0, a1, b0, b2; only the
         # projector is perturbed below
-        pool = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets.values()])
-        rows = pool.take([0, 1, 3, 5])
+        rows = encode_rows(enc, head, Pool.of(list(datasets.values()))).take([0, 1, 3, 5])
         weights = np.array([w_fixed[name] for name in rows.domains])
         probs, _ = score_rows(rows, proj)
         analytic = projector_gradient(proj, rows, domain_mean_gradient(rows, probs)[0], weights)

@@ -19,11 +19,13 @@ checked (one row per edge), then dropped. A parse is cached in the sidecar
 by the SHA-256 of the JSONL bytes and ``PACK_VERSION``. A missing, corrupt,
 stale or ill-shaped sidecar is rewritten, so deleting one is always safe.
 
-A ``DomainDataset`` holds its instances only as these arrays, read-only and
-validated once when it is built, whether from a file (``load_dataset``) or
-from ``GraphInstance`` objects (``DomainDataset.from_instances``). Batches
-are rows of the train pool (``iterate_epochs``), gathered from the arrays
-by ``encoder.GraphBatch.from_packed``.
+A ``DomainDataset`` holds its instances only as these arrays and its splits
+as index arrays, all read-only and validated once (``_validate``) when it is
+built, whether from a file, from a sidecar (``load_dataset``) or from
+``GraphInstance`` objects (``DomainDataset.from_instances``). A ``Pool``
+lays one split of every dataset end to end; both training stages and
+classification eval take their rows from one, and a batch is an array of
+pool rows (``Pool.batches``), gathered by ``encoder.GraphBatch.from_packed``.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterator, Sequence, Union
@@ -46,6 +49,7 @@ from .errors import (
     EmptyDataError,
     InvalidParameterError,
     ParseError,
+    UglmError,
     ValidationError,
 )
 from .persist import Checkpoint, decode_checkpoint, encode_checkpoint
@@ -117,14 +121,25 @@ class GraphInstance:
     label: int | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Splits:
-    train: list[int] = field(default_factory=list)
-    val: list[int] = field(default_factory=list)
-    test: list[int] = field(default_factory=list)
+    """Instance indices of each split, kept as read-only ``intp`` arrays."""
 
-    def held_out(self) -> list[int]:
-        return list(self.val) + list(self.test)
+    train: np.ndarray = ()
+    val: np.ndarray = ()
+    test: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        for name in SPLIT_NAMES:
+            indices = np.asarray(getattr(self, name))
+            if indices.ndim != 1 or indices.size and indices.dtype.kind not in "iu":
+                raise ValidationError(f"split {name} must be a list of integer indices")
+            indices = indices.astype(np.intp)  # a copy: the caller's array stays writable
+            indices.flags.writeable = False
+            object.__setattr__(self, name, indices)
+
+    def held_out(self) -> np.ndarray:
+        return np.concatenate([self.val, self.test])
 
 
 @dataclass(eq=False)
@@ -162,7 +177,11 @@ class DomainDataset:
                     f"domain {domain!r} instance {i}: label -1 not in [0,{num_classes})"
                 )
         dim = np.shape(instances[0].node_features)[1] if instances else 0
-        return cls(domain, task, num_classes, pack_instances(instances, dim), text_embeddings, splits)
+        try:
+            arrays = pack_instances(instances, dim)
+        except DimensionError as exc:
+            raise DimensionError(f"domain {domain!r} {exc}") from exc
+        return cls(domain, task, num_classes, arrays, text_embeddings, splits)
 
     def place(self, i: int | None = None) -> str:
         """Where instance ``i`` (None: the whole domain) comes from, for errors:
@@ -194,9 +213,11 @@ def _pack(feats: Sequence[np.ndarray], edges: Sequence[np.ndarray], scalars: np.
 def pack_instances(instances: Sequence[GraphInstance], input_dim: int) -> dict:
     """The PACK_ARRAYS of ``instances``, as ``load_dataset`` decodes a file's."""
     feats = [np.asarray(g.node_features, dtype=np.float64) for g in instances]
-    for g, h in zip(instances, feats):
+    for i, (g, h) in enumerate(zip(instances, feats)):
         if h.shape != (g.num_nodes, input_dim):
-            raise DimensionError(f"node features {h.shape} do not match ({g.num_nodes} nodes, {input_dim})")
+            raise DimensionError(
+                f"instance {i}: node features {h.shape} do not match ({g.num_nodes} nodes, {input_dim})"
+            )
     edges = [np.fromiter(chain.from_iterable(g.edges), np.int64).reshape(-1, 2) for g in instances]
     # target rows as the JSONL parser packs them: (u, v), (node, node) or (0, 0)
     targets = [getattr(g.target, "edge", (getattr(g.target, "node", 0),) * 2) for g in instances]
@@ -224,22 +245,32 @@ def take_packed(arrays: dict, rows: np.ndarray) -> dict:
     return taken
 
 
-def merge_packed(parts: Sequence[dict]) -> dict:
-    """One set of PACK_ARRAYS holding the instances of ``parts`` in order
-    (each ``text_index`` still points into its own part's table)."""
-    merged = {k: np.concatenate([p[k] for p in parts]) for k in PACK_ARRAYS if "offsets" not in k}
-    for key, of in (("node_offsets", "node_features"), ("edge_offsets", "edges")):
-        bases = np.cumsum([0] + [len(p[of]) for p in parts])
-        merged[key] = np.concatenate([p[key][:-1] + b for p, b in zip(parts, bases)] + [bases[-1:]])
-    return merged
-
-
 # ------------------------------------------------------------- validation
 
 
+def _fits(arrays: dict) -> bool:
+    """Whether ``arrays`` are the PACK_ARRAYS as numpy arrays of their dtypes
+    and shapes, with offsets that run from 0 to their row counts."""
+    if arrays.keys() != set(PACK_ARRAYS) or not all(isinstance(a, np.ndarray) for a in arrays.values()):
+        return False
+    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
+    n = len(label) if label.ndim == 1 else -1
+    return (
+        feats.dtype == np.float64 and all(arrays[k].dtype.kind == "i" for k in PACK_ARRAYS[1:])
+        and feats.ndim == edges.ndim == 2 and edges.shape[1] == 2
+        and text.shape == (n,) and target.shape == (n, 2)
+        and all(
+            off.shape == (n + 1,) and off[0] == 0 and off[-1] == len(rows) and (np.diff(off) >= 0).all()
+            for off, rows in ((node_off, feats), (edge_off, edges))
+        )
+    )
+
+
 def _validate(ds: DomainDataset) -> None:
-    """Every dataset invariant over the packed arrays. Errors name ``ds.place``
-    and list all that the first bad instance breaks."""
+    """Every dataset invariant over the packed arrays and the splits. Errors
+    name ``ds.place`` and list all that the first bad instance breaks."""
+    if not _fits(ds.arrays):
+        raise ValidationError(f"{ds.place()}: packed arrays do not fit together")
     feats, node_off, edges, edge_off, target, label, text = (ds.arrays[k] for k in PACK_ARRAYS)
     task, classes, n, n_texts = ds.task, ds.num_classes, len(label), len(ds.text_embeddings)
     if n == 0:
@@ -278,13 +309,16 @@ def _validate(ds: DomainDataset) -> None:
         i = int(np.argmax(bad))
         problems = "; ".join(say(i) for mask, say in checks if mask[i])
         raise ValidationError(f"{ds.place(i)}: {problems}")
-    seen: set[int] = set()
-    for name in SPLIT_NAMES:
-        for idx in getattr(ds.splits, name):
-            problem = "appears in two splits" if idx in seen else f"not in [0,{n})"
-            if idx in seen or not 0 <= idx < n:
-                raise ValidationError(f"{ds.place()}: split {name}: index {idx} {problem}")
-            seen.add(idx)
+    splits = [getattr(ds.splits, name) for name in SPLIT_NAMES]
+    every = np.concatenate(splits)
+    first = np.zeros(every.size, dtype=bool)  # the first occurrence of each index
+    first[np.unique(every, return_index=True)[1]] = True
+    bad = (every < 0) | (every >= n) | ~first
+    if bad.any():
+        at = int(np.argmax(bad))
+        name = SPLIT_NAMES[np.searchsorted(np.cumsum([len(s) for s in splits]), at, side="right")]
+        problem = f"not in [0,{n})" if first[at] else "appears in two splits"
+        raise ValidationError(f"{ds.place()}: split {name}: index {every[at]} {problem}")
 
 
 # ----------------------------------------------------------- embeddings IO
@@ -337,7 +371,7 @@ def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
         "domain": ds.domain,
         "task": ds.task,
         "classes": ds.num_classes,
-        "splits": {name: list(getattr(ds.splits, name)) for name in SPLIT_NAMES},
+        "splits": {name: getattr(ds.splits, name).tolist() for name in SPLIT_NAMES},
     }
     feats, node_off, edges, edge_off, target, label, text = (ds.arrays[k] for k in PACK_ARRAYS)
     node_off, edge_off = node_off.tolist(), edge_off.tolist()
@@ -460,26 +494,17 @@ def _integral(arr: np.ndarray) -> np.ndarray:
 
 
 def _read_pack(pack_path: str, key: str) -> tuple[dict, dict] | None:
-    """The arrays and header of a sidecar with key ``key``, or None if there is none."""
+    """The arrays and header of a sidecar with key ``key``, or None if there is
+    none. The arrays are checked only as every dataset's are, by ``_validate``."""
     try:
         pack = decode_checkpoint(Path(pack_path).read_bytes(), pack_path)
         header = _header(pack.metadata)
+        if (pack.metadata.get("pack_version"), pack.metadata.get("source_sha256")) != (PACK_VERSION, key):
+            return None  # stale, or another version
         arrays = {k: _integral(pack.tensors[k]) for k in PACK_ARRAYS[1:]}
-        arrays["node_features"] = pack.tensors["node_features"]
+        return {"node_features": pack.tensors["node_features"], **arrays}, header
     except (OSError, CheckpointError, KeyError, TypeError, ValueError, OverflowError):
         return None
-    feats, node_off, edges, edge_off, target, label, text = (arrays[k] for k in PACK_ARRAYS)
-    n = label.size
-    well_shaped = (
-        (pack.metadata.get("pack_version"), pack.metadata.get("source_sha256")) == (PACK_VERSION, key)
-        and feats.ndim == edges.ndim == 2 and edges.shape[1] == 2 and n >= 1
-        and label.shape == text.shape == (n,) and target.shape == (n, 2)
-        and all(  # offsets run from 0 to the row count; instances have >= 1 node
-            off.shape == (n + 1,) and off[0] == 0 and off[-1] == rows and (np.diff(off) >= least).all()
-            for off, rows, least in ((node_off, len(feats), 1), (edge_off, len(edges), 0))
-        )
-    )
-    return (arrays, header) if well_shaped else None  # stale, another version, or ill-shaped
 
 
 def _write_pack(arrays: dict, header: dict, key: str, pack_path: str) -> None:
@@ -494,49 +519,102 @@ def _write_pack(arrays: dict, header: dict, key: str, pack_path: str) -> None:
             os.remove(tmp)
 
 
+def _dataset(arrays: dict, header: dict, graph_path, embedding_path, key: str) -> DomainDataset:
+    """The dataset of decoded ``arrays`` and ``header``, with the embedding file's table."""
+    emb_blob = Path(embedding_path).read_bytes()
+    sha256 = {"graphs": key, "embeddings": hashlib.sha256(emb_blob).hexdigest()}
+    return DomainDataset(
+        header["domain"], header["task"], header["classes"], arrays,
+        _decode_embeddings(emb_blob, embedding_path),
+        Splits(*(header["splits"][name] for name in SPLIT_NAMES)), str(graph_path), sha256,
+    )
+
+
 def load_dataset(graph_path, embedding_path) -> DomainDataset:
-    """Load and fully validate one domain from its file pair, reading the
-    sidecar if its key matches, else parsing the JSONL and writing one."""
+    """Load and fully validate one domain from its file pair, from the sidecar
+    if its key matches and it passes validation, else by parsing the JSONL
+    (whose errors are then the ones raised) and writing a sidecar."""
     blob = Path(graph_path).read_bytes()
     key = hashlib.sha256(blob).hexdigest()
     pack_path = f"{graph_path}{PACK_SUFFIX}"
     packed = _read_pack(pack_path, key)
-    lines = None if packed else blob.splitlines()  # each is decoded on its own
+    if packed is not None:
+        with contextlib.suppress(UglmError):  # a sidecar that fails validation is stale
+            return _dataset(*packed, graph_path, embedding_path, key)
+    lines = blob.splitlines()  # each is decoded on its own
     del blob  # a parse holds the file once, as its lines
-    arrays, header = packed or _parse_jsonl(lines, graph_path)
-    emb_blob = Path(embedding_path).read_bytes()
-    splits = Splits(*(header["splits"][name] for name in SPLIT_NAMES))
-    sha256 = {"graphs": key, "embeddings": hashlib.sha256(emb_blob).hexdigest()}
-    ds = DomainDataset(
-        header["domain"], header["task"], header["classes"], arrays,
-        _decode_embeddings(emb_blob, embedding_path), splits, str(graph_path), sha256,
-    )
-    if packed is None:
-        _write_pack(arrays, header, key, pack_path)
+    arrays, header = _parse_jsonl(lines, graph_path)
+    ds = _dataset(arrays, header, graph_path, embedding_path, key)
+    _write_pack(arrays, header, key, pack_path)
     return ds
 
 
-# --------------------------------------------------------------- batching
+# ------------------------------------------------------------------- pools
 
 
-def iterate_epochs(
-    datasets: Sequence[DomainDataset],
-    batch_size: int,
-    epochs: int,
-    rng: np.random.Generator,
-) -> Iterator[np.ndarray]:
-    """Shuffled-union epochs as arrays of rows into the train pool, whose row r
-    is the r-th train instance with the datasets' train splits laid end to
-    end in order. One reshuffle per epoch, contiguous batches, final partial
-    batch kept. Deterministic given the generator state."""
-    if batch_size < 1:
-        raise InvalidParameterError(f"batch_size must be >= 1, got {batch_size}")
-    if epochs < 0:
-        raise InvalidParameterError(f"epochs must be >= 0, got {epochs}")
-    size = sum(len(ds.splits.train) for ds in datasets)
-    if not size:
-        raise EmptyDataError("no training instances in any dataset")
-    for _ in range(epochs):
-        order = rng.permutation(size)
-        for start in range(0, size, batch_size):
-            yield order[start : start + batch_size]
+@dataclass(frozen=True, eq=False)
+class Pool:
+    """The rows of one split of every dataset, laid end to end in order: row r
+    is the r-th index of the split with the datasets taken in turn, so each
+    dataset's rows are one range. Both training stages draw their batches
+    from the train pool, and classification eval scores a split's pool.
+    The merged arrays and text rows are built on first use: Stage II encodes
+    straight from each dataset's arrays and needs neither."""
+
+    datasets: tuple[DomainDataset, ...]
+    kinds: np.ndarray  # target kind of every row
+    dataset: np.ndarray  # index into datasets
+    instance: np.ndarray  # instance index within its dataset
+
+    @classmethod
+    def of(cls, datasets: Sequence[DomainDataset], split: str = "train") -> "Pool":
+        if split not in SPLIT_NAMES:
+            raise InvalidParameterError(f"unknown split {split!r}")
+        if not datasets:
+            raise EmptyDataError("no datasets")
+        indices = [getattr(ds.splits, split) for ds in datasets]
+        counts = [len(i) for i in indices]
+        return cls(
+            tuple(datasets), np.repeat([ds.task for ds in datasets], counts),
+            np.repeat(np.arange(len(datasets)), counts), np.concatenate(indices),
+        )
+
+    def __len__(self) -> int:
+        return len(self.instance)
+
+    def parts(self) -> list[tuple[DomainDataset, np.ndarray]]:
+        """Each dataset with the instance indices of its rows, in row order."""
+        bounds = np.searchsorted(self.dataset, np.arange(len(self.datasets) + 1)).tolist()
+        return [(ds, self.instance[a:b]) for ds, a, b in zip(self.datasets, bounds, bounds[1:])]
+
+    @cached_property
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The rows' PACK_ARRAYS, merged; text_index still points into each
+        row's own dataset's table. The datasets share a feature dim."""
+        parts = [take_packed(ds.arrays, indices) for ds, indices in self.parts()]
+        merged = {k: np.concatenate([p[k] for p in parts]) for k in PACK_ARRAYS if "offsets" not in k}
+        for key, of in (("node_offsets", "node_features"), ("edge_offsets", "edges")):
+            bases = np.cumsum([0] + [len(p[of]) for p in parts])
+            merged[key] = np.concatenate([p[key][:-1] + b for p, b in zip(parts, bases)] + [bases[-1:]])
+        return merged
+
+    @cached_property
+    def texts(self) -> np.ndarray:
+        """The text-embedding row of every row. The datasets share a text dim."""
+        return np.concatenate([ds.text_embeddings[ds.arrays["text_index"][i]] for ds, i in self.parts()])
+
+    def place(self, r: int) -> str:
+        """Where row ``r`` comes from, for errors (``DomainDataset.place``)."""
+        return self.datasets[self.dataset[r]].place(int(self.instance[r]))
+
+    def batches(self, batch_size: int, epochs: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+        """Shuffled epochs as arrays of pool rows: one ``rng.permutation`` of the
+        pool per epoch, drawn when the epoch starts, cut into contiguous
+        batches, the final partial batch kept. The stage configs check the
+        batch size and the epoch count."""
+        if not len(self):
+            raise EmptyDataError("no training instances in any dataset")
+        for _ in range(epochs):
+            order = rng.permutation(len(self))
+            for start in range(0, len(self), batch_size):
+                yield order[start : start + batch_size]

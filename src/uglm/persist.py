@@ -203,30 +203,23 @@ def param_fingerprint(params: ParamSet) -> str:
 # --------------------------------------------------------------- CSV export
 
 
-def _check_domain_field(domain: str) -> str:
+def _domain_field(domain) -> str:
+    domain = str(domain)
     if "," in domain or "\n" in domain or "\r" in domain:
         raise ValidationError(f"domain id {domain!r} cannot appear in a CSV field")
     return domain
 
 
-def export_metrics(rows: Iterable[Sequence], path) -> None:
-    """Write curriculum metrics rows (step, domain, loss, g, smoothed, w)."""
-    lines = [METRICS_HEADER]
-    for step, domain, loss, grad_norm, smoothed, weight in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(int(step)),
-                    _check_domain_field(str(domain)),
-                    format_float(loss),
-                    format_float(grad_norm),
-                    format_float(smoothed),
-                    format_float(weight),
-                ]
-            )
-        )
+def write_csv(path, header: str, rows: Iterable[Sequence], formats: Sequence) -> None:
+    """Write ``header`` and one line per row, field i written by ``formats[i]``."""
+    lines = [header] + [",".join(fmt(value) for fmt, value in zip(formats, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def export_metrics(rows: Iterable[Sequence], path) -> None:
+    """Write curriculum metrics rows (step, domain, loss, g, smoothed, w)."""
+    write_csv(path, METRICS_HEADER, rows, (lambda step: str(int(step)), _domain_field, *[format_float] * 4))
 
 
 def parse_metrics(path) -> list[tuple[int, str, float, float, float, float]]:
@@ -248,8 +241,4 @@ def parse_metrics(path) -> list[tuple[int, str, float, float, float, float]]:
 
 def export_loss_log(epoch_losses: Sequence[float], path) -> None:
     """Write the pretraining per-epoch mean-loss CSV."""
-    lines = [LOSS_LOG_HEADER]
-    for epoch, loss in enumerate(epoch_losses, start=1):
-        lines.append(f"{epoch},{format_float(loss)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(path, LOSS_LOG_HEADER, enumerate(epoch_losses, start=1), (str, format_float))

@@ -22,7 +22,7 @@ from .encoder import MultiScaleEncoder, encode_packed, encoder_backward, encoder
 from .errors import (
     ContractError, DegenerateInputError, DimensionError, EmptyDataError, InvalidParameterError,
 )
-from .graphdata import DomainDataset, iterate_epochs, merge_packed, take_packed
+from .graphdata import DomainDataset, Pool
 from .numcore import OptimizerState, ParamSet, optimizer_step, row_cosine_similarity, row_norms
 from .persist import Checkpoint
 
@@ -323,17 +323,6 @@ def _stage1_arrays(
     return arrays
 
 
-def _train_pool(datasets: list[DomainDataset]) -> tuple[dict, np.ndarray, np.ndarray, np.ndarray]:
-    """Every train instance in one packed set, in the order of iterate_epochs'
-    pool; each row's target kind, domain and text row."""
-    parts = [take_packed(ds.arrays, np.array(ds.splits.train, dtype=np.intp)) for ds in datasets]
-    counts = [len(ds.splits.train) for ds in datasets]
-    kinds = np.repeat([ds.task for ds in datasets], counts)
-    domains = np.repeat([ds.domain for ds in datasets], counts)
-    texts = np.concatenate([ds.text_embeddings[a["text_index"]] for ds, a in zip(datasets, parts)])
-    return merge_packed(parts), kinds, domains, texts
-
-
 def pretrain_loop(
     config: PretrainConfig, datasets: list[DomainDataset], hidden_dim: int, num_layers: int
 ) -> PretrainResult:
@@ -352,17 +341,13 @@ def pretrain_loop(
     opt = OptimizerState(config.learning_rate)
 
     epoch_losses: list[float] = []
-    batch_rng = np.random.default_rng(seeds[3])
-    batches = iterate_epochs(datasets, config.batch_size, config.epochs, batch_rng)
-    total = sum(len(ds.splits.train) for ds in datasets)
-    per_epoch = (total + config.batch_size - 1) // config.batch_size
-
-    packed, kinds, domains, texts = _train_pool(datasets)
-    loss_sum, seen, batch_count = 0.0, 0, 0
-    for rows in batches:  # one encode and one backward per batch
-        x, cache = encode_packed(packed, rows, kinds[rows], enc)
+    pool = Pool.of(datasets)
+    domains = np.array([ds.domain for ds in datasets])[pool.dataset]
+    loss_sum, seen = 0.0, 0
+    for rows in pool.batches(config.batch_size, config.epochs, np.random.default_rng(seeds[3])):
+        x, cache = encode_packed(pool.arrays, rows, pool.kinds[rows], enc)  # one encode, one backward
         ids = domains[rows].tolist()
-        result = dr_clip_loss(x, texts[rows], ids, weights, config.temperature, adapter)
+        result = dr_clip_loss(x, pool.texts[rows], ids, weights, config.temperature, adapter)
         grads = params.zeros_like()
         encoder_backward(cache, result.grad_x, out=grads.flat[:n_enc])
         if result.grad_adapter is not None:
@@ -374,10 +359,9 @@ def pretrain_loop(
 
         loss_sum += result.loss * len(rows)
         seen += len(rows)
-        batch_count += 1
-        if batch_count == per_epoch:
+        if seen == len(pool):  # an epoch draws every pool row once
             epoch_losses.append(loss_sum / seen)
-            loss_sum, seen, batch_count = 0.0, 0, 0
+            loss_sum, seen = 0.0, 0
 
     return PretrainResult(enc, adapter, centers, weights, epoch_losses)
 
@@ -441,7 +425,8 @@ def evaluate_retrieval(
     """recall@1 and recall@5 of matching held-out graphs to their own text.
 
     ``pool_size`` held-out instances are sampled; every instance's
-    representation is ranked against all pool texts by cosine.
+    representation is ranked against all pool texts by cosine, below every
+    other text whose cosine ties with its own.
     """
     held = dataset.splits.held_out()
     if pool_size < 1:
@@ -450,15 +435,14 @@ def evaluate_retrieval(
         raise ContractError(
             f"pool_size {pool_size} exceeds held-out split size {len(held)}"
         )
-    chosen = rng.permutation(len(held))[:pool_size]
-    indices = [held[int(i)] for i in chosen]
+    indices = held[rng.permutation(len(held))[:pool_size]]
     x, _ = encode_packed(dataset.arrays, indices, dataset.task, encoder)
     t = dataset.text_embeddings[dataset.arrays["text_index"][indices]]
     if adapter is not None:
         t = adapter.apply(t)
     cos = row_cosine_similarity(x, t)
     own = np.diag(cos)
-    better = (cos > own[:, None]).sum(axis=1)
+    better = (cos >= own[:, None]).sum(axis=1) - 1  # not counting its own text
     recall1 = float((better < 1).mean())
     recall5 = float((better < 5).mean())
     return recall1, recall5

@@ -18,7 +18,9 @@ import numpy as np
 from uglm.align import MetricsRow, curriculum_weights, update_difficulty
 from uglm.encoder import HEAD_NAMES, task_representation
 from uglm.errors import InvalidParameterError, NumericError
-from uglm.graphdata import PACK_ARRAYS, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, target_kind
+from uglm.graphdata import (
+    PACK_ARRAYS, SPLIT_NAMES, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, Splits, target_kind,
+)
 from uglm.numcore import optimizer_step, row_cosine_similarity
 
 
@@ -58,9 +60,8 @@ def datasets_equal(a, b):
     included, used by round-trip tests."""
     if (a.domain, a.task, a.num_classes) != (b.domain, b.task, b.num_classes):
         return False
-    if (a.splits.train, a.splits.val, a.splits.test) != (b.splits.train, b.splits.val, b.splits.test):
-        return False
     pairs = [(a.text_embeddings, b.text_embeddings)] + [(a.arrays[k], b.arrays[k]) for k in PACK_ARRAYS]
+    pairs += [(getattr(a.splits, name), getattr(b.splits, name)) for name in SPLIT_NAMES]
     return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in pairs)
 
 
@@ -88,8 +89,14 @@ def instance_of(ds, i):
 
 
 def train_pool(datasets):
-    """The (dataset, instance index) of every row of iterate_epochs' pool."""
-    return [(ds, i) for ds in datasets for i in ds.splits.train]
+    """The (dataset, instance index) of every row of the train pool, listed
+    without ``graphdata.Pool``."""
+    return [(ds, i) for ds in datasets for i in ds.splits.train.tolist()]
+
+
+def with_train(ds, train):
+    """``ds`` with ``train`` as its train split and no held-out splits."""
+    return replace(ds, splits=Splits(train=train))
 
 
 def max_relative_error(a, b):

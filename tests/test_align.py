@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     reference_align_step,
     train_pool,
     with_labels,
+    with_train,
 )
 from uglm.align import (
     AlignConfig,
@@ -33,9 +35,10 @@ from uglm.align import (
     score_rows,
     update_difficulty,
 )
+from uglm import pretrain
 from uglm.encoder import MultiScaleEncoder, encode_packed
 from uglm.errors import ContractError, EmptyDataError, ValidationError
-from uglm.graphdata import iterate_epochs, load_dataset, save_dataset
+from uglm.graphdata import Pool, Splits, load_dataset, save_dataset
 from uglm.numcore import OptimizerState
 from uglm.persist import export_metrics, param_fingerprint
 from uglm.synthgen import DomainSpec, generate_domain
@@ -143,7 +146,7 @@ def test_domain_batch_losses_are_within_domain_means():
     enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(5))
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(6))
     head = FrozenHead.build(7, {"a": 3, "b": 3}, 2, 4)
-    rows = encode_rows(enc, head, [(ds_a, [0, 1]), (ds_b, [2])])
+    rows = encode_rows(enc, head, Pool.of([with_train(ds_a, [0, 1]), with_train(ds_b, [2])]))
     assert rows.domains == ("a", "b")
     losses = domain_losses(rows, score_rows(rows, proj)[1])
     alone = [score_rows(rows.take([r]), proj)[1][0] for r in range(3)]
@@ -157,7 +160,7 @@ def test_stacked_projector_scores_equal_one_call_per_parameter_vector():
     enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(8))
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(9))
     head = FrozenHead.build(10, {ds.domain: ds.num_classes for ds in datasets}, 2, 4)
-    encoded = encode_rows(enc, head, [(ds, list(range(5))) for ds in datasets])
+    encoded = encode_rows(enc, head, Pool.of([with_train(ds, range(5)) for ds in datasets]))
     rows = encoded.take([1, 10, 3, 14])  # d0's instances 1 and 3, d2's 0 and 4
     stack = proj.params.flat + 0.1 * np.random.default_rng(11).normal(size=(7, proj.params.flat.size))
     probs, loss = score_rows(rows, proj.with_params(proj.params.with_flat(stack)))
@@ -180,7 +183,7 @@ def test_gradient_norm_zero_when_mixing_zero():
 
 def test_gradient_norm_invariant_under_duplication():
     ds, enc, proj, head = small_setup()
-    rows = encode_rows(enc, head, [(ds, [0, 1, 2])])
+    rows = encode_rows(enc, head, Pool.of([with_train(ds, [0, 1, 2])]))
     once, twice = rows.take([0, 1, 2]), rows.take([0, 1, 2, 0, 1, 2])
     g_once = domain_mean_gradient(once, score_rows(once, proj)[0])[1][0]
     g_twice = domain_mean_gradient(twice, score_rows(twice, proj)[0])[1][0]
@@ -309,7 +312,7 @@ def twin_domain_setup(seed=0, m=2, d_l=4):
             "twin_b": base.label_embeddings["twin_a"],
         },
     )
-    encoded = encode_rows(enc, head, [(ds_a, list(range(6))), (ds_b, list(range(6)))])
+    encoded = encode_rows(enc, head, Pool.of([with_train(ds_a, range(6)), with_train(ds_b, range(6))]))
     return proj, encoded, np.arange(12)  # the batch: every encoded row
 
 
@@ -342,7 +345,7 @@ def test_huge_temperature_behaves_as_uniform():
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(30))
     proj = Projector.initialize(6, 2, 4, np.random.default_rng(31))
     head = FrozenHead.build(32, {"a": 3, "b": 3}, 2, 4)
-    encoded = encode_rows(enc, head, [(ds_a, list(range(5))), (ds_b, list(range(5)))])
+    encoded = encode_rows(enc, head, Pool.of([with_train(ds_a, range(5)), with_train(ds_b, range(5))]))
     config = AlignConfig(total_steps=1, batch_size=10, seed=0, curriculum_temperature=1e9)
     state = align_step(np.arange(10), fresh_state(proj, config), config, encoded)
     losses = {row.domain: row.loss for row in state.metrics}
@@ -368,7 +371,7 @@ def test_weighted_objective_gradient_matches_finite_differences():
     enc = MultiScaleEncoder.initialize(4, 5, 1, np.random.default_rng(50))
     proj = Projector.initialize(5, 2, 4, np.random.default_rng(51))
     head = FrozenHead.build(52, {"a": 3, "b": 3}, 2, 4)
-    rows = encode_rows(enc, head, [(ds_a, [0, 3]), (ds_b, [1])])
+    rows = encode_rows(enc, head, Pool.of([with_train(ds_a, [0, 3]), with_train(ds_b, [1])]))
     fixed_weights = np.array([0.7, 0.3])  # domains "a", "b"
 
     def objective(ps):
@@ -405,7 +408,7 @@ def test_same_seed_byte_identical_metrics(tmp_path):
     for run in range(2):
         state, _ = align_loop(config, [ds_a, ds_b], enc)
         path = tmp_path / f"metrics_{run}.csv"
-        export_metrics([row.as_tuple() for row in state.metrics], path)
+        export_metrics(state.metrics, path)
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -424,6 +427,41 @@ def test_metrics_log_one_row_per_active_domain():
     for domains in by_step.values():
         assert domains == sorted(domains)
         assert domains == ["a", "b"]
+
+
+def test_both_stages_draw_the_same_pool_rows_from_one_generator(monkeypatch):
+    datasets = [synth_domain(name="a", seed=1), synth_domain(name="b", task="edge", seed=2)]
+    batches = Pool.batches
+    monkeypatch.setattr(  # the same generator in both stages
+        Pool, "batches", lambda self, size, epochs, rng: batches(self, size, epochs, np.random.default_rng(5))
+    )
+    text_row = {  # synth_domain's text rows tell its instances apart
+        (ds.domain, tuple(ds.text_embeddings[ds.arrays["text_index"][i]])): i
+        for ds in datasets for i in range(len(ds.arrays["label"]))
+    }
+    stage1, stage2, pools = [], [], []
+    dr_clip_loss = pretrain.dr_clip_loss
+
+    def recording_loss(x, t, ids, *args):
+        stage1.append([(d, text_row[d, tuple(row)]) for d, row in zip(ids, t)])
+        return dr_clip_loss(x, t, ids, *args)
+
+    def recording_encode(encoder, head, pool):
+        pools.append(pool)
+        return encode_rows(encoder, head, pool)
+
+    def recording_step(batch, state, config, encoded):
+        pool = pools[-1]
+        stage2.append([(pool.datasets[pool.dataset[r]].domain, pool.instance[r]) for r in batch])
+        return align_step(batch, state, config, encoded)
+
+    monkeypatch.setattr("uglm.pretrain.dr_clip_loss", recording_loss)
+    monkeypatch.setattr("uglm.align.encode_rows", recording_encode)
+    monkeypatch.setattr("uglm.align.align_step", recording_step)
+    pretrain.pretrain_loop(pretrain.PretrainConfig(epochs=3, batch_size=7, seed=0), datasets, 4, 1)
+    enc = MultiScaleEncoder.initialize(4, 6, 1, np.random.default_rng(0))
+    align_loop(AlignConfig(total_steps=len(stage1), batch_size=7, seed=0, token_dim=8), datasets, enc)
+    assert len(stage1) == 12 and stage1 == stage2  # 3 epochs of 24 pool rows in batches of 7
 
 
 def mixed_task_domains(tasks):
@@ -455,7 +493,7 @@ def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, w
     memoized, _ = align_loop(config, datasets, enc, head)
 
     def reencoding_step(batch, state, config, encoded):
-        fresh = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets])
+        fresh = encode_rows(enc, head, Pool.of(datasets))
         assert np.array_equal(fresh.rows, encoded.rows)
         return align_step(batch, state, config, fresh)
 
@@ -464,18 +502,18 @@ def test_memoized_representations_match_reencoding_bitwise(monkeypatch, tasks, w
     assert param_fingerprint(memoized.projector.params) == param_fingerprint(
         reference.projector.params
     )
-    assert [r.as_tuple() for r in memoized.metrics] == [r.as_tuple() for r in reference.metrics]
+    assert memoized.metrics == reference.metrics
 
 
 @pytest.mark.parametrize("tasks", MIXED_TASK_PAIRS)
 def test_each_training_graph_encoded_at_most_once_per_run(monkeypatch, tasks):
-    # exactly once: one encode_packed call per domain, over its train split
+    # exactly once: one encode_packed call per domain, over its train split's pool rows
     datasets = mixed_task_domains(tasks)
     enc = MultiScaleEncoder.initialize(4, 6, 2, np.random.default_rng(42))
     calls: list[list[int]] = []
 
     def counting(arrays, rows, *args):
-        calls.append(list(rows))
+        calls.append(arrays["text_index"][rows].tolist())  # synth_domain's text rows are the instances
         return encode_packed(arrays, rows, *args)
 
     monkeypatch.setattr("uglm.align.encode_packed", counting)
@@ -485,7 +523,7 @@ def test_each_training_graph_encoded_at_most_once_per_run(monkeypatch, tasks):
     for _ in range(2):  # a second run encodes again: nothing outlives a run
         calls.clear()
         align_loop(config, datasets, enc)
-        assert calls == [ds.splits.train for ds in datasets]
+        assert calls == [ds.splits.train.tolist() for ds in datasets]
 
 
 def test_instance_checks_run_on_memoized_items(monkeypatch):
@@ -511,8 +549,7 @@ def test_instance_checks_run_on_memoized_items(monkeypatch):
 
 def test_no_train_instances_is_empty_data_error():
     ds, enc, _, _ = small_setup()
-    ds.splits.val += ds.splits.train
-    ds.splits.train = []
+    ds = replace(ds, splits=Splits(val=ds.splits.held_out(), test=ds.splits.train))
     config = AlignConfig(total_steps=3, batch_size=2, seed=0, num_tokens=2, token_dim=4)
     with pytest.raises(EmptyDataError, match="no training instances"):
         align_loop(config, [ds], enc)
@@ -550,7 +587,7 @@ def test_vectorized_step_matches_per_instance_step(weighting):
         curriculum_temperature=0.2,
     )
     head = head_for(config, datasets)
-    batches = list(iterate_epochs(datasets, 8, 3, np.random.default_rng(46)))  # 3 x 4 batches
+    batches = list(Pool.of(datasets).batches(8, 3, np.random.default_rng(46)))  # 3 x 4 batches
     # pool rows 0-9 are node's train instances, 10-19 edge's, 20-29 graph's
     batches += [
         np.array([10, 2, 13, 21]),  # node and graph have one row each
@@ -559,7 +596,7 @@ def test_vectorized_step_matches_per_instance_step(weighting):
     pool = train_pool(datasets)
     proj = Projector.initialize(enc.hidden_dim, config.num_tokens, config.token_dim,
                                 np.random.default_rng(47))
-    encoded = encode_rows(enc, head, [(ds, ds.splits.train) for ds in datasets])
+    encoded = encode_rows(enc, head, Pool.of(datasets))
     new, ref = fresh_state(proj, config), fresh_state(proj, config)
     for batch in batches:
         new = align_step(batch, new, config, encoded)
@@ -625,6 +662,6 @@ def test_classification_rejects_head_with_other_class_count():
 
 def test_empty_split_contract_error():
     ds, enc, proj, head = small_setup()
-    ds.splits.val = []
+    ds = replace(ds, splits=Splits(train=ds.splits.train, test=ds.splits.test))
     with pytest.raises(ContractError):
         mean_split_loss(enc, proj, head, ds, split="val")

@@ -137,6 +137,26 @@ def test_unknown_config_key_rejected(tmp_path, suite_dir, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["file", "set"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("pretrain.batch_size", 2.5), ("pretrain.epochs", 1.5), ("encoder.hidden_dim", 8.0),
+        ("pretrain.seed", True), ("align.total_steps", "5"), ("align.num_tokens", 2.0),
+        ("align.token_dim", False), ("pretrain.center_sample_cap", 1e3), ("encoder.num_layers", "two"),
+    ],
+)
+def test_integer_config_field_of_another_type_exits_1(tmp_path, suite_dir, capsys, key, value, source):
+    section, name = key.split(".")
+    config, out = tmp_path / "c.json", tmp_path / "e.ckpt"
+    bad = {section: {**DESK_CONFIG[section], name: value}} if source == "file" else {}
+    config.write_text(json.dumps({**DESK_CONFIG, **bad}))
+    override = ["--set", f"{key}={json.dumps(value)}"] if source == "set" else []
+    rc = main(["pretrain", "--config", str(config), "--data", str(suite_dir), "--out", str(out), *override])
+    assert rc == 1 and not out.exists()
+    assert f"error: config key {key} must be int, got {value!r}" in capsys.readouterr().err
+
+
 def test_missing_data_dir_is_io_error(config_path, tmp_path, capsys):
     rc = main([
         "pretrain", "--config", str(config_path), "--data", str(tmp_path / "nope"),

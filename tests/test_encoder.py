@@ -9,6 +9,7 @@ from oracles import (
     reference_encoder_backward,
     reference_task_representation,
     sequential_segment_sum,
+    with_train,
 )
 from uglm.encoder import (
     GRAD_CHUNK_ROWS,
@@ -29,8 +30,8 @@ from uglm.graphdata import (
     GraphInstance,
     GraphTarget,
     NodeTarget,
+    Pool,
     load_dataset,
-    merge_packed,
     save_dataset,
 )
 from uglm.numcore import ParamSet
@@ -460,11 +461,10 @@ def test_packed_batch_equals_the_instances_batch_bit_for_bit(monkeypatch, tmp_pa
     loaded = [ds for _, ds in pairs]
     assert [ds.feature_dim for ds in loaded] == [3] * 4
     rng = np.random.default_rng(61)
-    packed = merge_packed([ds.arrays for ds in loaded])
-    kinds = np.repeat([ds.task for ds in loaded], 12)
+    pool = Pool.of([with_train(ds, range(12)) for ds in loaded])  # every instance, in order
     rows = rng.permutation(48)  # the domains mixed, as in a Stage I batch
     enc = MultiScaleEncoder.initialize(3, 5, 3, rng)
-    x, cache = encode_packed(packed, rows, kinds[rows], enc)
+    x, cache = encode_packed(pool.arrays, rows, pool.kinds[rows], enc)
     x_ref, ref = encode_batch([instance_of(loaded[r // 12], r % 12) for r in rows], enc)
     assert np.array_equal(x, x_ref)
     upstream = rng.normal(size=x.shape)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from collections import Counter
@@ -9,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from oracles import datasets_equal, train_pool, with_labels
 
 from uglm import graphdata
-from uglm.errors import EmptyDataError, ParseError, UglmError, ValidationError
+from uglm.errors import (
+    DimensionError, EmptyDataError, InvalidParameterError, ParseError, UglmError, ValidationError,
+)
 from uglm.graphdata import (
     DomainDataset,
     EdgeTarget,
@@ -17,8 +20,8 @@ from uglm.graphdata import (
     GraphTarget,
     MAX_CLASSES,
     NodeTarget,
+    Pool,
     Splits,
-    iterate_epochs,
     load_dataset,
     save_dataset,
     save_embeddings,
@@ -220,13 +223,43 @@ def test_header_checks(tmp_path):
 
 
 def test_split_overlap_rejected(tmp_path):
-    ds = make_dataset(n=3, train=[0, 1])
-    ds.splits.val = [1]
     gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
-    save_dataset(ds, gp, ep)
+    save_dataset(make_dataset(n=3, train=[0, 1]), gp, ep)
+    lines = gp.read_text().splitlines()
+    header = json.loads(lines[0])
+    header["splits"]["val"] = [1]
+    gp.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
     with pytest.raises(ValidationError) as exc:
         load_dataset(gp, ep)
-    assert "two splits" in str(exc.value)
+    assert str(exc.value) == f"{gp}:1: split val: index 1 appears in two splits"
+
+
+def test_split_edit_raises_at_the_edit():
+    ds = make_dataset(n=4, train=[0, 1])
+    with pytest.raises(ValueError, match="read-only"):
+        ds.splits.train[0] = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.splits.val = [1]
+    with pytest.raises(AttributeError):
+        ds.splits.train.append(99)
+    assert ds.splits.train.dtype == np.intp and ds.splits.train.tolist() == [0, 1]
+    for bad in ([1.5], [True], [[0, 1]], ["0"]):
+        with pytest.raises(ValidationError, match="^split val must be a list of integer indices$"):
+            Splits(val=bad)
+
+
+@pytest.mark.parametrize(
+    "splits, problem",
+    [
+        (Splits(train=[0, 1, 1]), "split train: index 1 appears in two splits"),
+        (Splits(train=[2], val=[0, 5, 1], test=[2]), r"split val: index 5 not in \[0,4\)"),
+        (Splits(train=[2], val=[0, 1], test=[3, 2]), "split test: index 2 appears in two splits"),
+        (Splits(test=[-1]), r"split test: index -1 not in \[0,4\)"),
+    ],
+)
+def test_split_checks_name_the_first_bad_index(splits, problem):
+    with pytest.raises(ValidationError, match=f"^domain 'd0': {problem}$"):
+        dataclasses.replace(make_dataset(n=4), splits=splits)
 
 
 # ------------------------------------------------------------- validation
@@ -303,6 +336,33 @@ def test_domain_level_errors_name_the_domain():
                                      Splits(val=[4]))
     with pytest.raises(ValidationError, match=r"^domain 'd': class count"):
         DomainDataset.from_instances("d", "node", 0, [make_instance("d")], np.ones((1, 2)), Splits())
+
+
+def test_feature_width_mismatch_names_the_instance():
+    instances = [make_instance("d", num_nodes=2, seed=0), make_instance("d", num_nodes=2, seed=1)]
+    instances[1].node_features = np.ones((2, 3))
+    instances[0].edges = instances[1].edges = [(0, 1), (1, 0)]
+    with pytest.raises(DimensionError) as exc:
+        DomainDataset.from_instances("d", "node", 2, instances, np.ones((2, 2)), Splits(train=[0, 1]))
+    assert str(exc.value) == "domain 'd' instance 1: node features (2, 3) do not match (2 nodes, 2)"
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda a: {**a, "label": a["label"][:-1]},
+        lambda a: {**a, "node_offsets": a["node_offsets"] + 1},
+        lambda a: {**a, "edge_offsets": a["edge_offsets"][::-1].copy()},
+        lambda a: {**a, "edges": a["edges"].astype(np.float64)},
+        lambda a: {**a, "target": a["target"][:, 0]},
+        lambda a: {k: v for k, v in a.items() if k != "text_index"},
+        lambda a: {**a, "node_features": a["node_features"].tolist()},
+    ],
+)
+def test_in_memory_arrays_that_do_not_fit_together_are_a_validation_error(spoil):
+    ds = make_dataset(n=3)
+    with pytest.raises(ValidationError, match="^domain 'd0': packed arrays do not fit together$"):
+        dataclasses.replace(ds, arrays=spoil(ds.arrays))
 
 
 def test_arrays_are_read_only_after_validation():
@@ -391,8 +451,15 @@ def _rewrite_jsonl(pack, other):
     save_dataset(make_dataset(n=5, seed=11), pack.with_suffix(""), pack.with_suffix("").with_suffix(".emb"))
 
 
+def _inconsistent_offsets(pack, other):
+    # keyed and checksummed, but the validator rejects it: the edges overrun
+    old = decode_checkpoint(pack.read_bytes(), pack)
+    tensors = {**old.tensors, "edge_offsets": old.tensors["edge_offsets"] + 1.0}
+    pack.write_bytes(encode_checkpoint(Checkpoint(old.metadata, tensors)))
+
+
 @pytest.mark.parametrize(
-    "spoil", [_flip_byte, _truncate, _bump_version, _copy_other_domain, _rewrite_jsonl]
+    "spoil", [_flip_byte, _truncate, _bump_version, _copy_other_domain, _rewrite_jsonl, _inconsistent_offsets]
 )
 def test_spoiled_sidecar_is_reparsed(tmp_path, parse_count, spoil):
     gp, ep = tmp_path / "a.jsonl", tmp_path / "a.emb"
@@ -445,7 +512,7 @@ def test_shrunken_embedding_table_is_caught_on_the_pack_path(tmp_path, parse_cou
     parse_count.clear()
     with pytest.raises(ValidationError) as from_pack:
         load_dataset(gp, ep)
-    assert parse_count == []
+    assert parse_count == [gp]  # a sidecar that fails validation is stale: the error is the parse's
     _pack_of(gp).unlink()
     with pytest.raises(ValidationError) as from_jsonl:
         load_dataset(gp, ep)
@@ -464,7 +531,7 @@ def pool_domains(datasets, batch):
 def test_exhaustive_batch_is_the_union():
     a = make_dataset(domain="a", n=10, seed=0)
     b = make_dataset(domain="b", n=10, seed=1)
-    batch = next(iterate_epochs([a, b], 20, 1, np.random.default_rng(5)))
+    batch = next(Pool.of([a, b]).batches(20, 1, np.random.default_rng(5)))
     assert len(batch) == 20 and batch.dtype.kind == "i"
     assert set(pool_domains([a, b], batch)) == {"a", "b"}
     assert sorted(batch.tolist()) == list(range(20))
@@ -473,14 +540,14 @@ def test_exhaustive_batch_is_the_union():
 def test_batch_size_one_single_domain():
     a = make_dataset(domain="a", n=4)
     b = make_dataset(domain="b", n=4)
-    batch = next(iterate_epochs([a, b], 1, 1, np.random.default_rng(0)))
+    batch = next(Pool.of([a, b]).batches(1, 1, np.random.default_rng(0)))
     assert len(set(pool_domains([a, b], batch))) == 1
 
 
 def test_batches_slice_one_permutation_of_the_pool_per_epoch():
     a = make_dataset(domain="a", n=6, train=[1, 4, 5])
     b = make_dataset(domain="b", n=5, train=[0, 3])
-    batches = list(iterate_epochs([a, b], 2, 2, np.random.default_rng(7)))
+    batches = list(Pool.of([a, b]).batches(2, 2, np.random.default_rng(7)))
     assert [len(batch) for batch in batches] == [2, 2, 1] * 2
     rng = np.random.default_rng(7)  # one draw per epoch, of the pool's size
     assert np.array_equal(np.concatenate(batches), np.concatenate([rng.permutation(5), rng.permutation(5)]))
@@ -488,26 +555,26 @@ def test_batches_slice_one_permutation_of_the_pool_per_epoch():
 
 def test_same_seed_same_batch():
     a = make_dataset(domain="a", n=8)
-    b1 = next(iterate_epochs([a], 3, 1, np.random.default_rng(42)))
-    b2 = next(iterate_epochs([a], 3, 1, np.random.default_rng(42)))
+    b1 = next(Pool.of([a]).batches(3, 1, np.random.default_rng(42)))
+    b2 = next(Pool.of([a]).batches(3, 1, np.random.default_rng(42)))
     assert np.array_equal(b1, b2)
 
 
 def test_epoch_batch_sizes_4_4_2():
     a = make_dataset(domain="a", n=10)
-    sizes = [len(b) for b in iterate_epochs([a], 4, 1, np.random.default_rng(0))]
+    sizes = [len(b) for b in Pool.of([a]).batches(4, 1, np.random.default_rng(0))]
     assert sizes == [4, 4, 2]
 
 
 def test_zero_epochs_empty_stream():
     a = make_dataset(domain="a", n=4)
-    assert list(iterate_epochs([a], 2, 0, np.random.default_rng(0))) == []
+    assert list(Pool.of([a]).batches(2, 0, np.random.default_rng(0))) == []
 
 
 def test_epoch_reshuffle_differs_but_run_repeats():
     a = make_dataset(domain="a", n=32)
     def run():
-        return [b.tolist() for b in iterate_epochs([a], 8, 2, np.random.default_rng(9))]
+        return [b.tolist() for b in Pool.of([a]).batches(8, 2, np.random.default_rng(9))]
     first, second = run(), run()
     assert first == second  # identical seed -> identical stream
     epoch1, epoch2 = first[:4], first[4:]
@@ -517,7 +584,7 @@ def test_epoch_reshuffle_differs_but_run_repeats():
 def test_empty_union_raises():
     a = make_dataset(domain="a", n=2, train=[])
     with pytest.raises(EmptyDataError):
-        next(iterate_epochs([a], 1, 1, np.random.default_rng(0)))
+        next(Pool.of([a]).batches(1, 1, np.random.default_rng(0)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -530,7 +597,7 @@ def test_empty_union_raises():
 def test_each_train_instance_once_per_epoch(na, nb, batch_size, seed):
     a = make_dataset(domain="a", n=na, seed=0)
     b = make_dataset(domain="b", n=nb, seed=1)
-    batches = list(iterate_epochs([a, b], batch_size, 1, np.random.default_rng(seed)))
+    batches = list(Pool.of([a, b]).batches(batch_size, 1, np.random.default_rng(seed)))
     seen = Counter(r for batch in batches for r in batch.tolist())
     assert sorted(seen) == list(range(na + nb))
     assert all(count == 1 for count in seen.values())
@@ -541,9 +608,34 @@ def test_long_run_domain_proportions_match_train_splits():
     b = make_dataset(domain="b", n=12, train=list(range(7)))
     counts: Counter = Counter()
     total = 0
-    for batch in iterate_epochs([a, b], 4, 50, np.random.default_rng(3)):
+    for batch in Pool.of([a, b]).batches(4, 50, np.random.default_rng(3)):
         for domain in pool_domains([a, b], batch):
             counts[domain] += 1
             total += 1
     assert abs(counts["a"] / total - 3 / 10) <= 0.02
     assert abs(counts["b"] / total - 7 / 10) <= 0.02
+
+
+def test_pool_rows_are_the_splits_end_to_end():
+    a = make_dataset(domain="a", n=6, train=[1, 4, 5], seed=0)
+    b = make_dataset(domain="b", task="edge", n=5, train=[0, 3], seed=1)
+    pool = Pool.of([a, b])
+    assert len(pool) == 5 and pool.kinds.tolist() == ["node"] * 3 + ["edge"] * 2
+    assert [(pool.datasets[d].domain, i) for d, i in zip(pool.dataset, pool.instance)] == [
+        (ds.domain, i) for ds, i in train_pool([a, b])
+    ]
+    for r, (ds, i) in enumerate(train_pool([a, b])):
+        assert pool.place(r) == ds.place(i)
+        assert np.array_equal(pool.texts[r], ds.text_embeddings[ds.arrays["text_index"][i]])
+        for k in ("target", "label", "text_index"):
+            assert np.array_equal(pool.arrays[k][r], ds.arrays[k][i])
+        nodes = slice(*pool.arrays["node_offsets"][r : r + 2])
+        theirs = slice(*ds.arrays["node_offsets"][i : i + 2])
+        assert np.array_equal(pool.arrays["node_features"][nodes], ds.arrays["node_features"][theirs])
+        edges = slice(*pool.arrays["edge_offsets"][r : r + 2])
+        theirs = slice(*ds.arrays["edge_offsets"][i : i + 2])
+        assert np.array_equal(pool.arrays["edges"][edges], ds.arrays["edges"][theirs])
+    held = Pool.of([a, b], "test")
+    assert held.instance.tolist() == a.splits.test.tolist() + b.splits.test.tolist()
+    with pytest.raises(InvalidParameterError, match="unknown split 'dev'"):
+        Pool.of([a], "dev")

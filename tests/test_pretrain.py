@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracles import instance_of
+
 from uglm.encoder import encode_packed
 from uglm.errors import ContractError, DegenerateInputError, DimensionError, EmptyDataError
 from uglm.graphdata import DomainDataset, GraphInstance, NodeTarget, Splits, load_dataset, save_dataset
@@ -419,6 +421,20 @@ def test_retrieval_encodes_its_pool_in_one_batch(monkeypatch):
     monkeypatch.setattr("uglm.pretrain.encode_packed", counting)
     evaluate_retrieval(result.encoder, datasets[0], 3, np.random.default_rng(0), result.adapter)
     assert calls == [3]
+
+
+def test_retrieval_ranks_an_instance_below_texts_that_tie_with_its_own():
+    # two held-out instances share one text row, so each one's own cosine
+    # ties with the other's text: neither is at rank 1
+    ds = tiny_dataset("d", 2, lambda i: [1.0 + i, 2.0], lambda i: [1.0, 0.5])
+    instances = [instance_of(ds, 0), instance_of(ds, 1)]
+    instances[1].text_index = 0
+    shared = DomainDataset.from_instances(
+        "d", "node", 2, instances, ds.text_embeddings[:1], Splits(test=[0, 1])
+    )
+    result = pretrain_loop(PretrainConfig(epochs=0, seed=0), [ds], hidden_dim=3, num_layers=1)
+    recalls = evaluate_retrieval(result.encoder, shared, 2, np.random.default_rng(0), result.adapter)
+    assert recalls == (0.0, 1.0)
 
 
 def test_retrieval_pool_too_large():

@@ -140,7 +140,7 @@ def test_spec_validation():
 
 def test_splits_partition_instances():
     ds, _ = generate_domain(spec(n=37))
-    all_idx = sorted(ds.splits.train + ds.splits.val + ds.splits.test)
+    all_idx = sorted(np.concatenate([ds.splits.train, ds.splits.val, ds.splits.test]).tolist())
     assert all_idx == list(range(37))
 
 
