@@ -13,11 +13,12 @@ Two companion files describe a domain:
   u32-LE count and dim, then count*dim little-endian float32, row-major.
 
 Embeddings are stored as float32 on disk and upcast to float64 on load;
-all other numbers round-trip exactly through JSON. ``edge_features`` are
-checked (one row per edge), then dropped. A parse is cached in the sidecar
-``<name>.jsonl.pack``: a ``persist`` container of the ``PACK_ARRAYS``, keyed
-by the SHA-256 of the JSONL bytes and ``PACK_VERSION``. A missing, corrupt,
-stale or ill-shaped sidecar is rewritten, so deleting one is always safe.
+all other numbers round-trip exactly through JSON, and integer fields take
+only JSON integers (not ``true``, not ``1.0``). ``edge_features`` are checked
+(one row per edge), then dropped. A parse is cached in ``<name>.jsonl.pack``,
+a ``persist`` container of the ``PACK_ARRAYS`` keyed by ``PACK_VERSION`` (2)
+and the JSONL's SHA-256, which a thread streams while the sidecar is decoded.
+A missing, corrupt, stale or ill-shaped sidecar is rewritten, so deleting one is safe.
 
 A ``DomainDataset`` holds its instances only as these arrays and its splits
 as index arrays, all read-only and validated once (``_validate``) when it is
@@ -35,6 +36,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -58,7 +60,7 @@ GRAPH_FORMAT_NAME = "uglm-graphs"
 GRAPH_FORMAT_VERSION = 1
 EMBEDDING_MAGIC = b"UGEMB\x01"
 PACK_SUFFIX = ".pack"
-PACK_VERSION = 1
+PACK_VERSION = 2  # 2: integer fields are strict, so a sidecar of 1 may hold truncated ones
 
 TASK_KINDS = ("node", "edge", "graph")
 SPLIT_NAMES = ("train", "val", "test")
@@ -68,6 +70,7 @@ SPLIT_NAMES = ("train", "val", "test")
 MAX_CLASSES = 1 << 16
 # Sidecar tensors are float64; integers up to this size survive exactly.
 _MAX_EXACT_INT = 1 << 53
+_HASH_CHUNK = 1 << 18  # one buffer per load, made by the caller's thread: less peak RSS
 PACK_ARRAYS = (
     "node_features", "node_offsets", "edges", "edge_offsets", "target", "label", "text_index"
 )
@@ -275,19 +278,19 @@ def _validate(ds: DomainDataset) -> None:
     task, classes, n, n_texts = ds.task, ds.num_classes, len(label), len(ds.text_embeddings)
     if n == 0:
         raise EmptyDataError(f"{ds.place()}: no instances")
-    bad_row = ~np.isfinite(feats).all(axis=1)
-    if bad_row.any():
-        i = np.searchsorted(node_off, np.argmax(bad_row), side="right") - 1
+    if not np.isfinite(feats).all():
+        i = np.searchsorted(node_off, np.argmin(np.isfinite(feats).all(axis=1)), side="right") - 1
         raise ParseError(f"{ds.place(i)}: node_features has non-finite entries")
     if not 1 <= classes <= MAX_CLASSES:
         raise ValidationError(f"{ds.place()}: class count must lie in [1,{MAX_CLASSES}], got {classes}")
     sizes, edge_of = np.diff(node_off), np.repeat(np.arange(n), np.diff(edge_off))
     if (sizes < 1).any():
         raise ValidationError(f"{ds.place(int(np.argmin(sizes)))}: instance has no nodes")
-    edge_ok = (edges.min(axis=1) >= 0) & (edges.max(axis=1) < sizes[edge_of])
-    target_ok = ((target >= 0) & (target < sizes[:, None])).all(axis=1)
+    (u, v), (tu, tv) = edges.T, target.T  # columns: row reductions over (E, 2) are slow
+    edge_ok = (np.minimum(u, v) >= 0) & (np.maximum(u, v) < sizes[edge_of])
+    target_ok = (np.minimum(tu, tv) >= 0) & (np.maximum(tu, tv) < sizes)
     if task == "edge":  # some edge of the instance equals its target
-        target_ok &= np.bincount(edge_of[(edges == target[edge_of]).all(axis=1)], minlength=n) > 0
+        target_ok &= np.bincount(edge_of[(u == tu[edge_of]) & (v == tv[edge_of])], minlength=n) > 0
 
     def edge_problems(i):
         span = slice(edge_off[i], edge_off[i + 1])
@@ -345,13 +348,20 @@ def _decode_embeddings(blob: bytes, path) -> np.ndarray:
         raise ParseError(f"{path}: expected {expected} bytes for {count}x{dim}, got {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=len(EMBEDDING_MAGIC) + 8)
     table = flat.astype(np.float64).reshape(count, dim)
-    bad = np.nonzero(~np.isfinite(table).all(axis=1))[0]
-    if bad.size:
-        raise ParseError(f"{path}: embedding row {int(bad[0])} has non-finite entries")
+    if not np.isfinite(table).all():
+        row = int(np.argmin(np.isfinite(table).all(axis=1)))
+        raise ParseError(f"{path}: embedding row {row} has non-finite entries")
     return table
 
 
 # ------------------------------------------------------------- JSONL IO
+
+
+def _int(value, field: str) -> int:
+    """``value`` if it is a JSON integer (``true`` and ``1.0`` are not), else a ValueError."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ValueError(f"field {field}: {value!r} is not an integer")
+    return value
 
 
 def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
@@ -360,7 +370,7 @@ def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
         raise ParseError(f"{where}: target must be a single-key object, got {obj!r}")
     kind, value = next(iter(obj.items()))
     u, v = value if kind == "edge" else (value, value) if kind == "node" else (0, 0)
-    return kind, (u, v)
+    return kind, (_int(u, f"target {kind}"), _int(v, f"target {kind}"))
 
 
 def save_dataset(ds: DomainDataset, graph_path, embedding_path) -> None:
@@ -400,6 +410,7 @@ def _parse_instance(record: dict, header: dict, where: str):
         if feats.ndim != 2 or edges.ndim != 2 or edges.shape[1] != 2:
             raise ParseError(f"{where}: node_features must be a list of equal-length rows "
                              "and edges a list of [u, v] pairs")
+        _int(next((x for x in chain.from_iterable(record["edges"]) if type(x) is not int), 0), "edges")
         problem = None
         if record.get("edge_features") is not None:
             edge_feats = np.asarray(record["edge_features"], dtype=np.float64)
@@ -408,9 +419,9 @@ def _parse_instance(record: dict, header: dict, where: str):
             if len(edge_feats) != len(edges):
                 problem = f"edge_features rows {len(edge_feats)} != edge count {len(edges)}"
         kind, target = _target_from_json(record["target"], where)
-        label = -1 if record["label"] is None else int(record["label"])
-        scalars = np.array([*target, label, record["text_index"]], dtype=np.int64)
-        if feats.shape[0] != int(record["num_nodes"]):
+        label = -1 if record["label"] is None else _int(record["label"], "label")
+        scalars = np.array([*target, label, _int(record["text_index"], "text_index")], dtype=np.int64)
+        if feats.shape[0] != _int(record["num_nodes"], "num_nodes"):
             problem = f"node_features shape {feats.shape} does not match num_nodes {record['num_nodes']}"
         elif str(record["domain"]) != header["domain"]:
             problem = f"field domain: {str(record['domain'])!r} != dataset domain {header['domain']!r}"
@@ -432,8 +443,8 @@ def _header(obj) -> dict:
     task = str(obj["task"])
     if task not in TASK_KINDS:
         raise ValueError(f"unknown task kind {task!r}")
-    splits = {name: [int(i) for i in obj["splits"][name]] for name in SPLIT_NAMES}
-    return {"domain": str(obj["domain"]), "task": task, "classes": int(obj["classes"]),
+    splits = {name: [_int(i, f"splits {name}") for i in obj["splits"][name]] for name in SPLIT_NAMES}
+    return {"domain": str(obj["domain"]), "task": task, "classes": _int(obj["classes"], "classes"),
             "splits": splits}
 
 
@@ -493,16 +504,16 @@ def _integral(arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _read_pack(pack_path: str, key: str) -> tuple[dict, dict] | None:
-    """The arrays and header of a sidecar with key ``key``, or None if there is
-    none. The arrays are checked only as every dataset's are, by ``_validate``."""
+def _read_pack(pack_path: str) -> tuple[dict, dict, str] | None:
+    """The arrays, header and source key of a sidecar of this version, or None.
+    The arrays are checked only as every dataset's are, by ``_validate``."""
     try:
         pack = decode_checkpoint(Path(pack_path).read_bytes(), pack_path)
         header = _header(pack.metadata)
-        if (pack.metadata.get("pack_version"), pack.metadata.get("source_sha256")) != (PACK_VERSION, key):
-            return None  # stale, or another version
-        arrays = {k: _integral(pack.tensors[k]) for k in PACK_ARRAYS[1:]}
-        return {"node_features": pack.tensors["node_features"], **arrays}, header
+        if pack.metadata.get("pack_version") != PACK_VERSION:
+            return None
+        arrays = {k: pack.tensors[k] if k == "node_features" else _integral(pack.tensors[k]) for k in PACK_ARRAYS}
+        return arrays, header, pack.metadata["source_sha256"]
     except (OSError, CheckpointError, KeyError, TypeError, ValueError, OverflowError):
         return None
 
@@ -519,7 +530,7 @@ def _write_pack(arrays: dict, header: dict, key: str, pack_path: str) -> None:
             os.remove(tmp)
 
 
-def _dataset(arrays: dict, header: dict, graph_path, embedding_path, key: str) -> DomainDataset:
+def _dataset(arrays: dict, header: dict, key: str, graph_path, embedding_path) -> DomainDataset:
     """The dataset of decoded ``arrays`` and ``header``, with the embedding file's table."""
     emb_blob = Path(embedding_path).read_bytes()
     sha256 = {"graphs": key, "embeddings": hashlib.sha256(emb_blob).hexdigest()}
@@ -530,21 +541,43 @@ def _dataset(arrays: dict, header: dict, graph_path, embedding_path, key: str) -
     )
 
 
+def _stream_sha256(path, out: list, buffer: bytearray) -> None:
+    """Append the SHA-256 of the file at ``path``, read through ``buffer``, to ``out`` if readable."""
+    with contextlib.suppress(OSError):
+        digest = hashlib.sha256()
+        with open(path, "rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                digest.update(memoryview(buffer)[:size])  # releases the GIL
+        out.append(digest.hexdigest())
+
+
 def load_dataset(graph_path, embedding_path) -> DomainDataset:
-    """Load and fully validate one domain from its file pair, from the sidecar
-    if its key matches and it passes validation, else by parsing the JSONL
-    (whose errors are then the ones raised) and writing a sidecar."""
-    blob = Path(graph_path).read_bytes()
-    key = hashlib.sha256(blob).hexdigest()
+    """Load and fully validate one domain from its file pair: from the sidecar if
+    it validates and its key matches the JSONL's streamed digest, else by parsing
+    the JSONL (whose errors are then the ones raised) and writing a sidecar."""
     pack_path = f"{graph_path}{PACK_SUFFIX}"
-    packed = _read_pack(pack_path, key)
-    if packed is not None:
-        with contextlib.suppress(UglmError):  # a sidecar that fails validation is stale
-            return _dataset(*packed, graph_path, embedding_path, key)
+    digest: list = []
+    worker = threading.Thread(target=_stream_sha256, args=(graph_path, digest, bytearray(_HASH_CHUNK)))
+    worker.start()
+    try:
+        packed = _read_pack(pack_path)  # which returns None for every OSError
+        ds = packed and _dataset(*packed, graph_path, embedding_path)
+    except UglmError:  # a sidecar that fails validation is stale
+        packed = None
+    except OSError as exc:  # reading the .emb: held, as it counts only if the sidecar does
+        ds = exc
+    finally:
+        worker.join()
+    if packed and digest == [packed[2]]:
+        if isinstance(ds, OSError):
+            raise ds
+        return ds
+    blob = Path(graph_path).read_bytes()  # the sidecar is stale, or this raises the JSONL's error
+    key = hashlib.sha256(blob).hexdigest()  # of the bytes parsed, even if the file changed since
     lines = blob.splitlines()  # each is decoded on its own
     del blob  # a parse holds the file once, as its lines
     arrays, header = _parse_jsonl(lines, graph_path)
-    ds = _dataset(arrays, header, graph_path, embedding_path, key)
+    ds = _dataset(arrays, header, key, graph_path, embedding_path)
     _write_pack(arrays, header, key, pack_path)
     return ds
 

@@ -1,6 +1,9 @@
+import contextlib
 import dataclasses
+import hashlib
 import json
 import os
+import threading
 from collections import Counter
 
 import numpy as np
@@ -148,6 +151,27 @@ def test_unconvertible_field_values_are_parse_errors(tmp_path, field, value):
     with pytest.raises(ParseError) as exc:
         load_dataset(gp, ep)
     assert f"{gp}:2:" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "lineno, fields, name",
+    [
+        (1, {"splits": {"train": [0.5, 1], "val": [], "test": []}}, "splits train"),
+        (1, {"classes": 20.5}, "classes"),
+        (1, {"classes": 2.0}, "classes"),
+        (2, {"label": 0.5}, "label"),
+        (2, {"label": True}, "label"),
+        (2, {"text_index": 0.5}, "text_index"),
+        (2, {"num_nodes": 3.0}, "num_nodes"),
+        (2, {"target": {"node": 0.5}}, "target node"),
+        (2, {"edges": [[0, 0.5], [1, 0]]}, "edges"),
+        (2, {"edges": [[0, 1], [False, 0]]}, "edges"),
+    ],
+)
+def test_integer_fields_take_only_json_integers(tmp_path, lineno, fields, name):
+    gp, ep = _saved_with_line_edit(tmp_path, lineno, **fields)
+    with pytest.raises(ParseError, match=f"^{gp}:{lineno}: malformed (header|record): field {name}: "):
+        load_dataset(gp, ep)
 
 
 def test_class_count_is_capped(tmp_path):
@@ -517,6 +541,79 @@ def test_shrunken_embedding_table_is_caught_on_the_pack_path(tmp_path, parse_cou
     with pytest.raises(ValidationError) as from_jsonl:
         load_dataset(gp, ep)
     assert str(from_pack.value) == str(from_jsonl.value) == f"{gp}:4: text_index 2 not in [0,2)"
+
+
+def test_sidecar_of_pack_version_1_is_parsed_again(tmp_path, parse_count):
+    gp, ep = _saved_with_line_edit(tmp_path, 2)
+    load_dataset(gp, ep)
+    _saved_with_line_edit(tmp_path, 2, label=0.5)  # version 1 read this label as 0
+    old = decode_checkpoint(_pack_of(gp).read_bytes(), gp)
+    key = hashlib.sha256(gp.read_bytes()).hexdigest()
+    meta = {**old.metadata, "pack_version": 1, "source_sha256": key}  # what version 1 wrote
+    _pack_of(gp).write_bytes(encode_checkpoint(Checkpoint(meta, old.tensors)))
+    parse_count.clear()
+    with pytest.raises(ParseError, match=f"^{gp}:2: malformed record: field label: 0.5 is not"):
+        load_dataset(gp, ep)
+    assert parse_count == [gp]
+
+
+def test_missing_jsonl_and_embeddings_raise_the_jsonls_error(tmp_path):
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    save_dataset(make_dataset(n=3), gp, ep)
+    load_dataset(gp, ep)
+    gp.unlink()
+    ep.unlink()
+    with pytest.raises(FileNotFoundError) as exc:
+        load_dataset(gp, ep)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{gp}'"
+
+
+def test_stale_sidecar_bad_line_and_missing_embeddings_raise_the_parse_error(tmp_path, parse_count):
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    save_dataset(make_dataset(n=3), gp, ep)
+    load_dataset(gp, ep)
+    lines = gp.read_text().splitlines()
+    gp.write_text("\n".join([lines[0], "{not json", *lines[2:]]) + "\n")
+    ep.unlink()
+    parse_count.clear()
+    with pytest.raises(ParseError, match=f"^{gp}:2: invalid JSON: "):
+        load_dataset(gp, ep)
+    assert parse_count == [gp]
+
+
+def test_matching_sidecar_and_missing_embeddings_raise_for_the_embeddings(tmp_path, parse_count):
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    save_dataset(make_dataset(n=3), gp, ep)
+    load_dataset(gp, ep)
+    ep.unlink()
+    parse_count.clear()
+    with pytest.raises(FileNotFoundError) as exc:
+        load_dataset(gp, ep)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{ep}'"
+    assert parse_count == []
+
+
+@pytest.mark.parametrize("spoil", [lambda gp, ep: None, lambda gp, ep: ep.unlink(),
+                                   lambda gp, ep: gp.unlink(), lambda gp, ep: gp.write_text("{")])
+def test_no_thread_outlives_a_load(tmp_path, spoil):
+    gp, ep = tmp_path / "d.jsonl", tmp_path / "d.emb"
+    save_dataset(make_dataset(n=3), gp, ep)
+    load_dataset(gp, ep)
+    spoil(gp, ep)
+    before = threading.active_count()
+    with contextlib.suppress(OSError, UglmError):
+        load_dataset(gp, ep)
+    assert threading.active_count() == before
+
+
+def test_streamed_digest_of_a_file_longer_than_its_chunk(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(np.random.default_rng(0).bytes(2500))
+    digest = []
+    graphdata._stream_sha256(path, digest, bytearray(1000))
+    assert digest == [hashlib.sha256(path.read_bytes()).hexdigest()]
+    graphdata._stream_sha256(tmp_path / "missing", digest, bytearray(1000))
+    assert len(digest) == 1
 
 
 # ------------------------------------------------------------------ batching
