@@ -14,9 +14,10 @@ Two companion files describe a domain:
 
 Embeddings are stored as float32 on disk and upcast to float64 on load;
 all other numbers round-trip exactly through JSON, and integer fields take
-only JSON integers (not ``true``, not ``1.0``). ``edge_features`` are checked
+only JSON integers (not ``true``, not ``1.0``), the header's ``version`` too,
+and a graph target only ``true``. ``edge_features`` are checked
 (one row per edge), then dropped. A parse is cached in ``<name>.jsonl.pack``,
-a ``persist`` container of the ``PACK_ARRAYS`` keyed by ``PACK_VERSION`` (2)
+a ``persist`` container of the ``PACK_ARRAYS`` keyed by ``PACK_VERSION`` (3)
 and the JSONL's SHA-256, which a thread streams while the sidecar is decoded.
 A missing, corrupt, stale or ill-shaped sidecar is rewritten, so deleting one is safe.
 
@@ -26,7 +27,7 @@ built, whether from a file, from a sidecar (``load_dataset``) or from
 ``GraphInstance`` objects (``DomainDataset.from_instances``). A ``Pool``
 lays one split of every dataset end to end; both training stages and
 classification eval take their rows from one, and a batch is an array of
-pool rows (``Pool.batches``), gathered by ``encoder.GraphBatch.from_packed``.
+pool rows (``Pool.batches``), gathered by ``encoder.packed_batches``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ GRAPH_FORMAT_NAME = "uglm-graphs"
 GRAPH_FORMAT_VERSION = 1
 EMBEDDING_MAGIC = b"UGEMB\x01"
 PACK_SUFFIX = ".pack"
-PACK_VERSION = 2  # 2: integer fields are strict, so a sidecar of 1 may hold truncated ones
+PACK_VERSION = 3  # 2: integer fields are strict, so a sidecar of 1 may hold truncated ones;
+# 3: so are the header version and graph targets, so a sidecar of 2 may stand for a bad file
 
 TASK_KINDS = ("node", "edge", "graph")
 SPLIT_NAMES = ("train", "val", "test")
@@ -229,7 +231,7 @@ def pack_instances(instances: Sequence[GraphInstance], input_dim: int) -> dict:
     return _pack(feats, edges, scalars, input_dim)
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def index_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The indices starts[i] ... starts[i] + lengths[i] - 1 of every i, in order."""
     ends = np.cumsum(lengths)
     return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
@@ -241,8 +243,8 @@ def take_packed(arrays: dict, rows: np.ndarray) -> dict:
     node_off, edge_off = arrays["node_offsets"], arrays["edge_offsets"]
     sizes, counts = node_off[rows + 1] - node_off[rows], edge_off[rows + 1] - edge_off[rows]
     taken = {k: arrays[k][rows] for k in ("target", "label", "text_index")}
-    taken["node_features"] = arrays["node_features"][_ranges(node_off[rows], sizes)]
-    taken["edges"] = arrays["edges"][_ranges(edge_off[rows], counts)]
+    taken["node_features"] = arrays["node_features"][index_ranges(node_off[rows], sizes)]
+    taken["edges"] = arrays["edges"][index_ranges(edge_off[rows], counts)]
     offsets = [np.concatenate([[0], np.cumsum(lengths)]) for lengths in (sizes, counts)]
     taken["node_offsets"], taken["edge_offsets"] = offsets
     return taken
@@ -369,6 +371,8 @@ def _target_from_json(obj, where: str) -> tuple[TaskKind, tuple]:
     if not (isinstance(obj, dict) and len(obj) == 1 and obj.keys() <= set(TASK_KINDS)):
         raise ParseError(f"{where}: target must be a single-key object, got {obj!r}")
     kind, value = next(iter(obj.items()))
+    if kind == "graph" and value is not True:
+        raise ParseError(f"{where}: graph target must be true, got {value!r}")
     u, v = value if kind == "edge" else (value, value) if kind == "node" else (0, 0)
     return kind, (_int(u, f"target {kind}"), _int(v, f"target {kind}"))
 
@@ -469,8 +473,9 @@ def _parse_jsonl(lines: list[bytes], path) -> tuple[dict, dict]:
     raw = parse_line(1, lines.pop())
     if raw.get("format") != GRAPH_FORMAT_NAME:
         raise ParseError(f"{path}:1: format is not {GRAPH_FORMAT_NAME!r}")
-    if raw.get("version") != GRAPH_FORMAT_VERSION:
-        raise ParseError(f"{path}:1: unsupported version {raw.get('version')!r}")
+    version = raw.get("version")
+    if type(version) is not int or version != GRAPH_FORMAT_VERSION:  # true and 1.0 equal 1
+        raise ParseError(f"{path}:1: unsupported version {version!r}")
     try:
         header = _header(raw)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -11,9 +11,8 @@ finite-difference checks elsewhere in the package are meaningful.
 
 from __future__ import annotations
 
-import copy
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -53,19 +52,22 @@ def row_norms(x: Matrix, label: str = "matrix") -> np.ndarray:
     return norms
 
 
-def row_cosine_similarity(x: Matrix, t: Matrix) -> Matrix:
+def row_cosine_similarity(x: Matrix, t: Matrix, return_units: bool = False):
     """Cosine of every x row against every t row.
 
     Entry (i, j) is cos(x[i], t[j]); values lie in [-1, 1] up to rounding.
     Zero-norm rows raise rather than clamp: they indicate upstream bugs.
     Either side may be a (P, n, d) stack; the result is then (P, n_x, n_t).
+    With ``return_units`` it is ``(cos, (xn, x_norms), (tn, t_norms))``: the
+    unit rows and norms of each side too, for a gradient to reuse.
     """
     x2, t2 = _as2d(x, "x"), _as2d(t, "t")
     if x2.shape[-1] != t2.shape[-1]:
         raise DimensionError(f"column counts differ: x is {x2.shape}, t is {t2.shape}")
-    xn = x2 / row_norms(x2, "x")[..., None]
-    tn = t2 / row_norms(t2, "t")[..., None]
-    return _ensure_finite(xn @ tn.swapaxes(-1, -2), "cosine matrix")
+    x_norms, t_norms = row_norms(x2, "x"), row_norms(t2, "t")
+    xn, tn = x2 / x_norms[..., None], t2 / t_norms[..., None]
+    cos = _ensure_finite(xn @ tn.swapaxes(-1, -2), "cosine matrix")
+    return (cos, (xn, x_norms), (tn, t_norms)) if return_units else cos
 
 
 def softmax_with_temperature(v, tau: float) -> np.ndarray:
@@ -95,25 +97,23 @@ class ParamSet:
     def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
         owned = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
         self.layout = tuple((name, arr.shape) for name, arr in owned.items())
-        flat = np.concatenate([np.zeros(0)] + [arr.ravel() for arr in owned.values()])
-        flat.flags.writeable = False
-        self._bind(flat)
+        stops = np.cumsum([0] + [arr.size for arr in owned.values()]).tolist()
+        self._spans = tuple(zip(owned, stops, stops[1:], (arr.shape for arr in owned.values())))
+        self.flat = np.concatenate([np.zeros(0)] + [arr.ravel() for arr in owned.values()])
+        self.flat.flags.writeable = False
 
-    def _bind(self, flat: np.ndarray) -> None:
-        self.flat = flat
-        self._views: dict[str, np.ndarray] = {}
-        start = 0
-        for name, shape in self.layout:
-            stop = start + math.prod(shape)
-            self._views[name] = flat[..., start:stop].reshape(flat.shape[:-1] + shape)
-            start = stop
+    @cached_property
+    def _views(self) -> dict[str, np.ndarray]:
+        """The named views, made on first use from the spans the layout fixed."""
+        lead = self.flat.shape[:-1]
+        return {name: self.flat[..., a:b].reshape(lead + shape) for name, a, b, shape in self._spans}
 
     def with_flat(self, flat: np.ndarray) -> "ParamSet":
         """The same names and shapes over the float64 ``flat`` (not copied)."""
         if flat.ndim > 2 or flat.shape[-1:] != self.flat.shape[-1:]:
             raise DimensionError(f"flat vector {flat.shape} does not fit layout {self.flat.shape}")
-        out = copy.copy(self)
-        out._bind(flat)
+        out = object.__new__(type(self))
+        out.layout, out._spans, out.flat = self.layout, self._spans, flat
         return out
 
     def zeros_like(self) -> "ParamSet":
@@ -170,11 +170,23 @@ def optimizer_step(
     lr = opt.learning_rate
     t = opt.step + 1
     g = grads.flat
-    m = ADAM_BETA1 * opt.first_moment + (1.0 - ADAM_BETA1) * g
-    v = ADAM_BETA2 * opt.second_moment + (1.0 - ADAM_BETA2) * g * g
-    m_hat = m / (1.0 - ADAM_BETA1**t)
-    v_hat = v / (1.0 - ADAM_BETA2**t)
-    updated = params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    # the textbook update's operations in its order, in place on fresh
+    # vectors: m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g, and
+    # params - lr (m / c1) / (sqrt(v / c2) + eps)
+    scratch = (1.0 - ADAM_BETA1) * g
+    m = np.multiply(opt.first_moment, ADAM_BETA1, out=np.empty_like(g))
+    m += scratch
+    np.multiply(g, 1.0 - ADAM_BETA2, out=scratch)
+    scratch *= g
+    v = np.multiply(opt.second_moment, ADAM_BETA2, out=np.empty_like(g))
+    v += scratch
+    np.divide(v, 1.0 - ADAM_BETA2**t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPSILON
+    updated = m / (1.0 - ADAM_BETA1**t)
+    updated *= lr
+    updated /= scratch
+    np.subtract(params.flat, updated, out=updated)
     finite = np.isfinite(updated)
     if not finite.all():
         name = params.name_at(int(np.argmin(finite)))

@@ -10,6 +10,13 @@ suite exploits as an independent oracle.
 When the text-embedding dimension differs from the encoder dimension, a
 trainable linear adapter maps text rows into encoder space. It is trained
 jointly here and frozen afterwards.
+
+The loop takes one epoch of batches at a time from ``Pool.batches`` (whose
+first batch draws the epoch's permutation) and hands them all to
+``encoder.packed_batches``, which builds their structure in a few
+vectorized passes. It then runs one forward, one ``dr_clip_loss``, one
+``encoder_backward`` and one ``optimizer_step`` per batch. The loss's
+gradient reuses the unit rows and norms its forward took.
 """
 
 from __future__ import annotations
@@ -18,12 +25,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoder import MultiScaleEncoder, encode_packed, encoder_backward, encoder_param_shapes, uniform_init
+from .encoder import (
+    MultiScaleEncoder, encode_packed, encoder_backward, encoder_param_shapes, forward, packed_batches, uniform_init,
+)
 from .errors import (
     ContractError, DegenerateInputError, DimensionError, EmptyDataError, InvalidParameterError,
 )
 from .graphdata import DomainDataset, Pool
-from .numcore import OptimizerState, ParamSet, optimizer_step, row_cosine_similarity, row_norms
+from .numcore import OptimizerState, ParamSet, optimizer_step, row_cosine_similarity
 from .persist import Checkpoint
 
 CENTER_SAMPLE_CAP = 1000
@@ -183,11 +192,11 @@ class DrClipResult:
 
 def pair_weights(domain_ids: list[str], weights: DomainWeights) -> tuple[np.ndarray, np.ndarray]:
     """Negative weights of every (i, j) pair of a batch: graph->text, text->graph."""
-    for d in domain_ids:
-        if d not in weights.index:
-            raise ContractError(f"domain {d!r} missing from the weight matrices")
-    idx = np.array([weights.index[d] for d in domain_ids])
-    return weights.w_graph[np.ix_(idx, idx)], weights.w_text[np.ix_(idx, idx)]
+    try:
+        idx = np.array([weights.index[d] for d in domain_ids], dtype=np.intp)
+    except KeyError as exc:
+        raise ContractError(f"domain {exc.args[0]!r} missing from the weight matrices") from None
+    return weights.w_graph[idx[:, None], idx], weights.w_text[idx[:, None], idx]
 
 
 def _weighted_lse(logits: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -205,6 +214,7 @@ class DrClipForward:
     cos: np.ndarray
     logits: np.ndarray
     lse: tuple[np.ndarray, np.ndarray]  # per row: graph->text, text->graph
+    units: tuple[tuple, tuple]  # unit rows and norms of x and of t_proj
 
 
 def dr_clip_forward(
@@ -226,12 +236,12 @@ def dr_clip_forward(
         raise DimensionError(
             f"text rows have dim {t_proj.shape[-1]} but graph rows have dim {x.shape[-1]}"
         )
-    cos = row_cosine_similarity(x, t_proj)
+    cos, *units = row_cosine_similarity(x, t_proj, return_units=True)
     logits = cos / temperature
     lse = _weighted_lse(logits, wg), _weighted_lse(logits.swapaxes(-1, -2), wt)
     own = np.diagonal(logits, axis1=-2, axis2=-1)
     loss = 0.5 * ((lse[0] - own).mean(axis=-1) + (lse[1] - own).mean(axis=-1))
-    return DrClipForward(loss, t_proj, cos, logits, lse)
+    return DrClipForward(loss, t_proj, cos, logits, lse, tuple(units))
 
 
 def dr_clip_loss(
@@ -264,19 +274,21 @@ def dr_clip_loss(
     fwd = dr_clip_forward(x, t_raw, wg, wt, temperature, adapter)
 
     # d loss / d logits of each direction is (w_ij e^{s_ij - lse_i} - [i == j]) / n
-    t_proj, cos, logits = fwd.t_proj, fwd.cos, fwd.logits
-    d_gt = (wg * np.exp(logits - fwd.lse[0][:, None]) - np.eye(n)) / n
-    d_tg = (wt * np.exp(logits.T - fwd.lse[1][:, None]) - np.eye(n)) / n
+    d_gt = wg * np.exp(fwd.logits - fwd.lse[0][:, None])
+    d_tg = wt * np.exp(fwd.logits.T - fwd.lse[1][:, None])
+    for d in (d_gt, d_tg):
+        d.flat[:: n + 1] -= 1.0  # the diagonal, in place, whatever d's memory order
+        d /= n
     d_cos = 0.5 * (d_gt + d_tg.T) / temperature
 
-    xnorm = row_norms(x, "x")
-    tnorm = row_norms(t_proj, "t")
-    xn = x / xnorm[:, None]
-    tn = t_proj / tnorm[:, None]
-    row_dot = (d_cos * cos).sum(axis=1)
-    col_dot = (d_cos * cos).sum(axis=0)
-    grad_x = (d_cos @ tn - row_dot[:, None] * xn) / xnorm[:, None]
-    grad_t_proj = (d_cos.T @ xn - col_dot[:, None] * tn) / tnorm[:, None]
+    (xn, xnorm), (tn, tnorm) = fwd.units
+    weighted = d_cos * fwd.cos
+    grad_x = d_cos @ tn
+    grad_x -= weighted.sum(axis=1)[:, None] * xn
+    grad_x /= xnorm[:, None]
+    grad_t_proj = d_cos.T @ xn
+    grad_t_proj -= weighted.sum(axis=0)[:, None] * tn
+    grad_t_proj /= tnorm[:, None]
 
     grad_adapter = None
     grad_t = grad_t_proj
@@ -343,25 +355,28 @@ def pretrain_loop(
     epoch_losses: list[float] = []
     pool = Pool.of(datasets)
     domains = np.array([ds.domain for ds in datasets])[pool.dataset]
-    loss_sum, seen = 0.0, 0
-    for rows in pool.batches(config.batch_size, config.epochs, np.random.default_rng(seeds[3])):
-        x, cache = encode_packed(pool.arrays, rows, pool.kinds[rows], enc)  # one encode, one backward
-        ids = domains[rows].tolist()
-        result = dr_clip_loss(x, pool.texts[rows], ids, weights, config.temperature, adapter)
-        grads = params.zeros_like()
-        encoder_backward(cache, result.grad_x, out=grads.flat[:n_enc])
-        if result.grad_adapter is not None:
-            grads.flat[n_enc:] = result.grad_adapter.flat
-        params, opt = optimizer_step(opt, params, grads)
-        enc = enc.with_params(enc.params.with_flat(params.flat[:n_enc]))
-        if adapter is not None:
-            adapter = adapter.with_params(params)
-
-        loss_sum += result.loss * len(rows)
-        seen += len(rows)
-        if seen == len(pool):  # an epoch draws every pool row once
-            epoch_losses.append(loss_sum / seen)
-            loss_sum, seen = 0.0, 0
+    draws = pool.batches(config.batch_size, config.epochs, np.random.default_rng(seeds[3]))
+    for first in draws:  # an epoch's first batch draws its permutation; pull the rest
+        epoch, seen = [first], len(first)
+        while seen < len(pool):  # an epoch draws every pool row once
+            epoch.append(next(draws))
+            seen += len(epoch[-1])
+        batches = packed_batches(pool.arrays, epoch, pool.kinds[np.concatenate(epoch)])
+        loss_sum = 0.0
+        for rows, batch in zip(epoch, batches):
+            x, cache = forward(batch, enc)  # one encode, one backward
+            ids = domains[rows].tolist()
+            result = dr_clip_loss(x, pool.texts[rows], ids, weights, config.temperature, adapter)
+            grads = params.zeros_like()
+            encoder_backward(cache, result.grad_x, out=grads.flat[:n_enc])
+            if result.grad_adapter is not None:
+                grads.flat[n_enc:] = result.grad_adapter.flat
+            params, opt = optimizer_step(opt, params, grads)
+            enc = enc.with_params(enc.params.with_flat(params.flat[:n_enc]))
+            if adapter is not None:
+                adapter = adapter.with_params(params)
+            loss_sum += result.loss * len(rows)
+        epoch_losses.append(loss_sum / seen)
 
     return PretrainResult(enc, adapter, centers, weights, epoch_losses)
 

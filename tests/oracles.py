@@ -7,7 +7,8 @@ one graph at a time, neighbour sums by ``np.add.at``, weight gradients by
 one matmul each. The sequential segment sum is the bitwise reference for
 the batched encoder's segment sums. The per-instance Stage II step is the
 reference for the vectorized one. The entrywise finite-difference oracle
-is the reference for the package's stacked one.
+is the reference for the package's stacked one, and the textbook Adam
+update the bitwise reference for ``optimizer_step``.
 """
 
 import math
@@ -21,7 +22,7 @@ from uglm.errors import InvalidParameterError, NumericError
 from uglm.graphdata import (
     PACK_ARRAYS, SPLIT_NAMES, EdgeTarget, GraphInstance, GraphTarget, NodeTarget, Splits, target_kind,
 )
-from uglm.numcore import optimizer_step, row_cosine_similarity
+from uglm.numcore import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, optimizer_step, row_cosine_similarity
 
 
 def brute_force_dr_clip(x, t, ids, w_graph, w_text, index, tau):
@@ -216,6 +217,19 @@ def reference_align_step(items, state, config, encoder, head):
             MetricsRow(k, d, float(np.mean(losses[d])), observed[d], state.tracker.smoothed[d], weights[d])
         )
     return state
+
+
+def reference_adam_step(opt, params, grads):
+    """The Adam update as the textbook writes it, one expression per
+    quantity: the new flat parameters and both moments. ``optimizer_step``
+    keeps its order of operations, so its bits are these."""
+    t = opt.step + 1
+    g = grads.flat
+    m = ADAM_BETA1 * opt.first_moment + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * opt.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return params.flat - opt.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
 
 
 # ------------------------------------------------- per-instance encoder

@@ -12,6 +12,7 @@ from oracles import (
     with_train,
 )
 from uglm.encoder import (
+    BUILD_PASS_EDGES,
     GRAD_CHUNK_ROWS,
     JAGGED_MIN_IDS,
     SEGMENT_CHUNK,
@@ -22,15 +23,18 @@ from uglm.encoder import (
     encode_packed,
     encoder_backward,
     forward,
+    packed_batches,
     task_representation,
 )
 from uglm.errors import ContractError, DimensionError
 from uglm.graphdata import (
     EdgeTarget,
     GraphInstance,
+    DomainDataset,
     GraphTarget,
     NodeTarget,
     Pool,
+    Splits,
     load_dataset,
     save_dataset,
 )
@@ -469,6 +473,63 @@ def test_packed_batch_equals_the_instances_batch_bit_for_bit(monkeypatch, tmp_pa
     assert np.array_equal(x, x_ref)
     upstream = rng.normal(size=x.shape)
     assert np.array_equal(encoder_backward(cache, upstream).flat, encoder_backward(ref, upstream).flat)
+
+
+def corner_case_domains(tmp_path):
+    """One loaded domain per task kind, 20 graphs each. Graph 0 of each has a
+    hub with more than JAGGED_MIN_IDS in-edges, two isolated nodes and a
+    self-loop, which is the edge domain's target there."""
+    rng = np.random.default_rng(70)
+    n = 3 * JAGGED_MIN_IDS + 2
+    hub_edges = [(v, 0) for v in range(1, n - 2)] + [(4, 4)]
+    corner = {"node": NodeTarget(node=0), "edge": EdgeTarget(edge=(4, 4)), "graph": GraphTarget()}
+    loaded = []
+    for kind, target in corner.items():
+        graphs = [instance(n, hub_edges, rng.normal(size=(n, 3)), target)]
+        graphs += [random_instance(rng, int(rng.integers(2, 9)), 3, kind) for _ in range(19)]
+        for i, g in enumerate(graphs):
+            g.domain, g.label, g.text_index = kind, i % 2, i
+        ds = DomainDataset.from_instances(kind, kind, 2, graphs, rng.normal(size=(20, 3)), Splits(train=range(20)))
+        paths = tmp_path / f"{kind}.jsonl", tmp_path / f"{kind}.emb"
+        save_dataset(ds, *paths)
+        loaded.append(load_dataset(*paths))
+    return loaded
+
+
+@pytest.mark.parametrize("pass_edges", [150, BUILD_PASS_EDGES])  # shared passes and lone batches, or one pass
+@pytest.mark.parametrize("chunk", [8, SEGMENT_CHUNK, 1 << 30])  # jagged, either path, one bincount
+def test_epoch_pass_equals_one_batch_at_a_time_bit_for_bit(monkeypatch, tmp_path, chunk, pass_edges):
+    monkeypatch.setattr("uglm.encoder.SEGMENT_CHUNK", chunk)
+    monkeypatch.setattr("uglm.encoder.BUILD_PASS_EDGES", pass_edges)
+    pool = Pool.of(corner_case_domains(tmp_path))
+    rng = np.random.default_rng(71)
+    enc = MultiScaleEncoder.initialize(3, 5, 2, rng)
+    draws = pool.batches(7, 2, np.random.default_rng(72))
+    epochs = [[next(draws) for _ in range(9)] for _ in range(2)]  # 60 rows: 8 of 7, then 4
+    assert next(draws, None) is None and [len(e[-1]) for e in epochs] == [4, 4]
+    for epoch in epochs:
+        batches = packed_batches(pool.arrays, epoch, pool.kinds[np.concatenate(epoch)])
+        passes = []  # each batch's shared pass (None: built alone), kept alive so that ids stay distinct
+        for rows, batch in zip(epoch, batches, strict=True):
+            passes.append(batch.gather.plans)
+            alone = GraphBatch.from_packed(pool.arrays, rows, pool.kinds[rows])
+            for name in ("features", "graph_of", "sizes", "inv_deg"):
+                assert np.array_equal(getattr(batch, name), getattr(alone, name))
+            for plan in (batch.gather, batch.scatter, batch.pool):  # against the sequential sums
+                values = rng.normal(size=(len(batch.features), 6))
+                expected = sequential_segment_sum(values, plan.take, plan.segment, plan.num_segments)
+                assert np.array_equal(plan(values), expected)
+            x, cache = forward(batch, enc)
+            x_alone, cache_alone = forward(alone, enc)
+            assert np.array_equal(x, x_alone)
+            upstream = rng.normal(size=x.shape)
+            grads = encoder_backward(cache, upstream).flat
+            assert np.array_equal(grads, encoder_backward(cache_alone, upstream).flat)
+        shared = {id(p) for p in passes if p is not None}
+        if pass_edges == BUILD_PASS_EDGES:  # a desk-sized epoch is one pass
+            assert len(shared) == 1 and None not in passes
+        else:
+            assert len(shared) > 1 and None in passes
 
 
 def test_built_and_loaded_datasets_are_equal_and_train_to_the_same_checkpoint(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import datasets_equal, train_pool, with_labels
 
 from uglm import graphdata
+from uglm.cli import main
 from uglm.errors import (
     DimensionError, EmptyDataError, InvalidParameterError, ParseError, UglmError, ValidationError,
 )
@@ -172,6 +173,29 @@ def test_integer_fields_take_only_json_integers(tmp_path, lineno, fields, name):
     gp, ep = _saved_with_line_edit(tmp_path, lineno, **fields)
     with pytest.raises(ParseError, match=f"^{gp}:{lineno}: malformed (header|record): field {name}: "):
         load_dataset(gp, ep)
+
+
+@pytest.mark.parametrize(
+    "lineno, fields, problem",
+    [
+        (1, {"version": True}, "unsupported version True"),
+        (1, {"version": 1.0}, "unsupported version 1.0"),
+        (3, {"target": {"graph": False}}, "graph target must be true, got False"),
+        (3, {"target": {"graph": 7}}, "graph target must be true, got 7"),
+    ],
+    ids=["version-true", "version-1.0", "graph-target-false", "graph-target-7"],
+)
+def test_header_version_and_graph_target_take_only_their_json_values(tmp_path, capsys, lineno, fields, problem):
+    data = tmp_path / "data"
+    data.mkdir()  # fresh files: no sidecar can stand in for the parse
+    gp, ep = _saved_with_line_edit(data, lineno, make_dataset(n=2, task="graph"), **fields)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(gp, ep)
+    assert str(exc.value) == f"{gp}:{lineno}: {problem}"
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    assert main(["pretrain", "--config", str(config), "--data", str(data), "--out", str(tmp_path / "e.ckpt")]) == 1
+    assert capsys.readouterr().err == f"error: {gp}:{lineno}: {problem}\n"
 
 
 def test_class_count_is_capped(tmp_path):
@@ -553,6 +577,29 @@ def test_sidecar_of_pack_version_1_is_parsed_again(tmp_path, parse_count):
     _pack_of(gp).write_bytes(encode_checkpoint(Checkpoint(meta, old.tensors)))
     parse_count.clear()
     with pytest.raises(ParseError, match=f"^{gp}:2: malformed record: field label: 0.5 is not"):
+        load_dataset(gp, ep)
+    assert parse_count == [gp]
+
+
+@pytest.mark.parametrize(
+    "lineno, fields, problem",
+    [
+        (1, {"version": True}, "unsupported version True"),
+        (3, {"target": {"graph": 7}}, "graph target must be true, got 7"),
+    ],
+    ids=["version-true", "graph-target-7"],
+)
+def test_sidecar_of_pack_version_2_is_parsed_again(tmp_path, parse_count, lineno, fields, problem):
+    graphs = make_dataset(n=2, task="graph")
+    gp, ep = _saved_with_line_edit(tmp_path, lineno, graphs)
+    load_dataset(gp, ep)
+    _saved_with_line_edit(tmp_path, lineno, graphs, **fields)  # version 2 read the same arrays from this
+    old = decode_checkpoint(_pack_of(gp).read_bytes(), gp)
+    key = hashlib.sha256(gp.read_bytes()).hexdigest()
+    meta = {**old.metadata, "pack_version": 2, "source_sha256": key}  # what version 2 wrote
+    _pack_of(gp).write_bytes(encode_checkpoint(Checkpoint(meta, old.tensors)))
+    parse_count.clear()
+    with pytest.raises(ParseError, match=f"^{gp}:{lineno}: {problem}$"):
         load_dataset(gp, ep)
     assert parse_count == [gp]
 

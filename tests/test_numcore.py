@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import max_relative_error
+from oracles import max_relative_error, reference_adam_step
 from uglm.errors import (
     DegenerateInputError,
     DimensionError,
@@ -246,6 +246,27 @@ def test_adam_matches_reference_implementation():
             ref[name] = ref[name] - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
     for name in shapes:
         assert np.array_equal(params[name], ref[name])
+
+
+@pytest.mark.parametrize("lr", [0.01, 0.0])
+def test_adam_equals_the_textbook_update_bit_for_bit(lr):
+    rng = np.random.default_rng(9)
+    params = ParamSet({"first": rng.normal(size=(3, 2)), "second": rng.normal(size=4)})
+    start, opt = params.flat, OptimizerState(lr)
+    for _ in range(4):
+        grads = params.with_flat(rng.normal(size=params.flat.size))
+        expected, m, v = reference_adam_step(opt, params, grads)
+        before = [np.copy(x) for x in (opt.first_moment, opt.second_moment)]
+        params, new_opt = optimizer_step(opt, params, grads)
+        assert np.array_equal(params.flat, expected)
+        assert np.array_equal(new_opt.first_moment, m) and np.array_equal(new_opt.second_moment, v)
+        assert all(np.array_equal(x, y) for x, y in zip((opt.first_moment, opt.second_moment), before))
+        opt = new_opt
+    assert np.array_equal(params.flat, start) == (lr == 0.0)
+    grads = np.zeros(params.flat.size)
+    grads[-2] = np.nan
+    with pytest.raises(NumericError, match="'second'"):  # past the first step too
+        optimizer_step(opt, params, params.with_flat(grads))
 
 
 def test_optimizer_shape_mismatch():

@@ -310,8 +310,9 @@ def test_identical_domains_collapse_to_unit_weights_bitwise():
 
 def test_unknown_domain_id_rejected():
     w = unit_weights(["a"])
-    with pytest.raises(ContractError):
-        dr_clip_loss(np.ones((1, 2)), np.ones((1, 2)), ["mystery"], w, 1.0)
+    for ids in (["mystery"], ["a", "mystery"]):  # alone, and after a known domain
+        with pytest.raises(ContractError, match="^domain 'mystery' missing from the weight matrices$"):
+            dr_clip_loss(np.ones((len(ids), 2)), np.ones((len(ids), 2)), ids, w, 1.0)
 
 
 @pytest.mark.parametrize("tau", [1.0, 0.07])
